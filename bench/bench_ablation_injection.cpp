@@ -77,7 +77,7 @@ int main() {
         const auto t1 = std::chrono::steady_clock::now();
 
         vmac::VmacConv2d vconv(wq.quantized, opts.stride, opts.padding, vmac_cfg, {},
-                               vmac::VmacConvMode::kBitExact, Rng(777));
+                               vmac::BackendOptions{vmac::BackendKind::kBitExact}, Rng(777));
         Tensor noisy = vconv.forward(x);
         const auto t2 = std::chrono::steady_clock::now();
 

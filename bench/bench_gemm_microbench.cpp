@@ -88,8 +88,7 @@ double gflops(const GemmShape& s, double seconds) {
 
 /// End-to-end eval throughput of the compiled mini-ResNet plan under one
 /// numeric mode: images/s through ExecutionPlan::run on a steady-state
-/// batch (same model/batch/geometry as bench_plan_compile, AMS off so
-/// the per-image work is deterministic).
+/// batch of 16 (AMS off so the per-image work is deterministic).
 struct PlanEval {
     double fp32_ips = 0.0;
     double int8_ips = 0.0;
@@ -117,8 +116,6 @@ PlanEval measure_plan_eval(bool quick) {
     const Tensor& images = dataset.val_images();
     const Shape in_shape{batch, images.dim(1), images.dim(2), images.dim(3)};
 
-    runtime::EvalContext ctx;
-    (void)model.plan(in_shape, ctx);
     Tensor x(in_shape);
     for (std::size_t i = 0; i < batch; ++i) {
         const std::size_t src = i % images.dim(0);
@@ -127,7 +124,10 @@ PlanEval measure_plan_eval(bool quick) {
                   x.data() + i * image);
     }
 
+    // Each numeric mode runs on its own context, as one evaluate call or
+    // one server instance would: the modes' scratch never shares a layout.
     auto ips_for = [&](GemmIntMode mode) {
+        runtime::EvalContext ctx;
         compile::CompileOptions copts;
         copts.gemm_int = mode;
         compile::ExecutionPlan plan = compile::compile(model, in_shape, copts);

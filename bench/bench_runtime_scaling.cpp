@@ -1,8 +1,8 @@
 // Runtime scaling microbench: wall-clock for the two hottest kernels —
 // raw GEMM and the bit-exact VmacConv2d forward — plus a full batch-eval
-// of the quantized+AMS tiny ResNet (legacy allocating forward vs the
-// planned arena forward, with the arena high-water mark), at 1/2/4/8 pool
-// threads. Prints a speedup table and writes a CSV artifact.
+// of the quantized+AMS tiny ResNet (allocating forward vs the compiled
+// plan, with the arena high-water mark), at 1/2/4/8 pool threads. Prints
+// a speedup table and writes a CSV artifact.
 //
 // On a single-core host the pool degrades gracefully: every thread count
 // measures the same serial work (speedup ~1.0x), which is the expected
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "core/bench_json.hpp"
 #include "core/csv.hpp"
 #include "core/report.hpp"
@@ -60,13 +61,14 @@ int main() {
     vmac::VmacConfig cfg;
     cfg.enob = 8.0;
     cfg.nmult = 8;
-    vmac::VmacConv2d vconv(w, 1, 1, cfg, {}, vmac::VmacConvMode::kBitExact, Rng(22));
+    vmac::VmacConv2d vconv(w, 1, 1, cfg, {}, vmac::BackendOptions{vmac::BackendKind::kBitExact},
+                           Rng(22));
     Tensor x(Shape{8, 8, 12, 12});
     x.fill_uniform(rng, 0.0f, 1.0f);
 
     // Batch-eval workload: the full quantized+AMS tiny ResNet, compared
-    // on the legacy allocating forward vs the planned arena forward (the
-    // ams_enob_sweep inner loop). Also reports the arena high-water mark.
+    // on the allocating forward vs the compiled plan (the ams_enob_sweep
+    // inner loop). Also reports the arena high-water mark.
     models::LayerCommon common;
     common.bits_w = 8;
     common.bits_x = 8;
@@ -79,12 +81,12 @@ int main() {
     ex.fill_uniform(rng, -1.0f, 1.0f);
 
     core::Table table({"Threads", "gemm (ms)", "gemm speedup", "vmac_conv (ms)",
-                       "vmac speedup", "eval legacy (ms)", "eval arena (ms)",
+                       "vmac speedup", "eval alloc (ms)", "eval plan (ms)",
                        "arena HWM (KiB)"});
     core::CsvWriter csv(core::artifact_dir() + "/runtime_scaling.csv",
                         {"threads", "gemm_ms", "gemm_speedup", "vmac_conv_ms",
-                         "vmac_conv_speedup", "batch_eval_legacy_ms",
-                         "batch_eval_arena_ms", "arena_hwm_bytes"});
+                         "vmac_conv_speedup", "batch_eval_alloc_ms",
+                         "batch_eval_plan_ms", "arena_hwm_bytes"});
 
     core::BenchReport report("runtime_scaling");
     report.record_runtime_env();  // "threads" = pre-sweep pool; rows carry the sweep
@@ -96,15 +98,15 @@ int main() {
         const double gemm_s =
             seconds_of([&] { gemm(a.data(), b.data(), c.data(), m, k, n); }, 5);
         const double vmac_s = seconds_of([&] { (void)vconv.forward(x); }, 2);
-        const double eval_legacy_s = seconds_of([&] { (void)model.forward(ex); }, 3);
-        // Fresh context per thread count: the plan and warm-up are part of
+        const double eval_alloc_s = seconds_of([&] { (void)model.forward(ex); }, 3);
+        // Fresh context per thread count: compile and warm-up are part of
         // the measured workflow's setup, but steady state is what repeats.
         runtime::EvalContext ctx;
-        (void)model.plan(ex.shape(), ctx);
-        const double eval_arena_s = seconds_of(
+        compile::ExecutionPlan plan = compile::compile(model, ex.shape());
+        const double eval_plan_s = seconds_of(
             [&] {
                 const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-                (void)model.forward(ex, ctx);
+                (void)plan.run(ex, ctx);
                 ctx.rewind(cp);
             },
             3);
@@ -119,22 +121,22 @@ int main() {
                        core::fmt_fixed(gemm_speedup, 2) + "x",
                        core::fmt_fixed(vmac_s * 1e3, 2),
                        core::fmt_fixed(vmac_speedup, 2) + "x",
-                       core::fmt_fixed(eval_legacy_s * 1e3, 2),
-                       core::fmt_fixed(eval_arena_s * 1e3, 2),
+                       core::fmt_fixed(eval_alloc_s * 1e3, 2),
+                       core::fmt_fixed(eval_plan_s * 1e3, 2),
                        core::fmt_fixed(static_cast<double>(hwm) / 1024.0, 1)});
         csv.add_row({std::to_string(threads), core::fmt_fixed(gemm_s * 1e3, 4),
                      core::fmt_fixed(gemm_speedup, 3), core::fmt_fixed(vmac_s * 1e3, 4),
                      core::fmt_fixed(vmac_speedup, 3),
-                     core::fmt_fixed(eval_legacy_s * 1e3, 4),
-                     core::fmt_fixed(eval_arena_s * 1e3, 4), std::to_string(hwm)});
+                     core::fmt_fixed(eval_alloc_s * 1e3, 4),
+                     core::fmt_fixed(eval_plan_s * 1e3, 4), std::to_string(hwm)});
         core::BenchFields& row = report.add_row();
         row.set("threads", threads);
         row.set("gemm_ms", gemm_s * 1e3);
         row.set("gemm_speedup", gemm_speedup);
         row.set("vmac_conv_ms", vmac_s * 1e3);
         row.set("vmac_conv_speedup", vmac_speedup);
-        row.set("batch_eval_legacy_ms", eval_legacy_s * 1e3);
-        row.set("batch_eval_arena_ms", eval_arena_s * 1e3);
+        row.set("batch_eval_alloc_ms", eval_alloc_s * 1e3);
+        row.set("batch_eval_plan_ms", eval_plan_s * 1e3);
         row.set("arena_hwm_bytes", hwm);
     }
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());

@@ -50,13 +50,11 @@ struct RunRow {
     std::size_t instances = 0;
     double offered_qps = 0.0;  // 0 for closed loop
     serve::LoadReport report;
-    std::string dispatch = "walk";  ///< "walk" or "plan" (compiled replicas)
 };
 
 void add_report_row(core::BenchReport& bench, const RunRow& row, std::size_t max_batch) {
     core::BenchFields& out = bench.add_row();
     out.set("loop", row.loop);
-    out.set("dispatch", row.dispatch);
     out.set("instances", static_cast<std::uint64_t>(row.instances));
     out.set("offered_qps", row.offered_qps);
     out.set("achieved_qps", row.report.achieved_qps);
@@ -138,23 +136,17 @@ int main() {
         serve::ServerOptions options = server_options;
         options.instances = instances;
 
-        // Closed loop: capacity calibration, module walk vs compiled
-        // ExecutionPlan replicas (bit-identical logits, different
-        // dispatch — the plan row isolates the compiler's serving win).
+        // Closed loop: capacity calibration.
         double capacity_qps = 0.0;
-        for (const serve::CompileMode mode :
-             {serve::CompileMode::kOff, serve::CompileMode::kOn}) {
-            serve::ServerOptions mode_options = options;
-            mode_options.compile_mode = mode;
-            serve::InferenceServer server(primary, image_shape, mode_options);
+        {
+            serve::InferenceServer server(primary, image_shape, options);
             serve::LoadGenOptions load;
             load.open_loop = false;
             load.clients = 2 * instances;
             load.requests = requests;
-            RunRow row{"closed", instances, 0.0, run_load(server, images, load),
-                       mode == serve::CompileMode::kOn ? "plan" : "walk"};
+            RunRow row{"closed", instances, 0.0, run_load(server, images, load)};
             server.shutdown();
-            if (mode == serve::CompileMode::kOff) capacity_qps = row.report.achieved_qps;
+            capacity_qps = row.report.achieved_qps;
             rows.push_back(std::move(row));
         }
 
@@ -175,7 +167,7 @@ int main() {
     }
 
     for (const RunRow& row : rows) {
-        table.add_row({row.dispatch == "plan" ? row.loop + "/plan" : row.loop,
+        table.add_row({row.loop,
                        std::to_string(row.instances),
                        row.offered_qps == 0.0 ? "-" : core::fmt_fixed(row.offered_qps, 0),
                        core::fmt_fixed(row.report.achieved_qps, 0),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "runtime/metrics.hpp"
@@ -47,17 +46,6 @@ Tensor ErrorInjector::forward(const Tensor& input) {
     if (!enabled_) return input;
     Tensor out = input;
     inject(out);
-    return out;
-}
-
-Tensor ErrorInjector::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    // No training/eval distinction: noise is forward-only, backward is the
-    // identity. The arena copy replaces the legacy deep copy; a disabled
-    // injector copies without consuming a noise epoch, exactly like the
-    // legacy pass-through.
-    Tensor out = nn::arena_output(ctx, input.shape());
-    std::memcpy(out.data(), input.data(), input.size() * sizeof(float));
-    if (enabled_) inject(out);
     return out;
 }
 

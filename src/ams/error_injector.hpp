@@ -46,7 +46,6 @@ public:
                   const DeviceProfile& device = {});
 
     Tensor forward(const Tensor& input) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override { return grad_output; }
     [[nodiscard]] std::string name() const override { return "ErrorInjector"; }
 
@@ -68,12 +67,12 @@ public:
     [[nodiscard]] const DeviceProfile& device() const { return device_; }
 
     /// Adds one forward pass worth of noise to `data[0..count)` in place,
-    /// consuming one noise epoch. This is the raw hook both forward
-    /// overloads and the compiled-plan executor share: the per-tile stream
-    /// mapping depends only on element position, so the realization is
-    /// identical to the module walk for the same buffer contents. Callers
-    /// must honor the enabled() switch themselves (a disabled injector on
-    /// the module path copies without consuming an epoch).
+    /// consuming one noise epoch. This is the raw hook forward() and the
+    /// compiled-plan executor share: the per-tile stream mapping depends
+    /// only on element position, so the realization is identical on both
+    /// paths for the same buffer contents. Callers must honor the
+    /// enabled() switch themselves (a disabled injector's forward copies
+    /// without consuming an epoch).
     ///
     /// With an active DeviceProfile a deterministic chip pre-pass runs
     /// first: data = drift_gain * data + sigma_out * field[channel],

@@ -14,13 +14,6 @@ namespace ams::vmac {
 
 namespace {
 
-BackendOptions options_for_mode(VmacConvMode mode) {
-    BackendOptions options;
-    options.kind = (mode == VmacConvMode::kBitExact) ? BackendKind::kBitExact
-                                                     : BackendKind::kPerVmacNoise;
-    return options;
-}
-
 /// Span tag "backend=<kind> in=BxCxHxW" — only formatted when spans are
 /// actually recording, so the snprintf stays off the off/counters paths.
 void format_forward_tag(char* tag, std::size_t capacity, BackendKind kind, const Shape& in) {
@@ -31,12 +24,6 @@ void format_forward_tag(char* tag, std::size_t capacity, BackendKind kind, const
 }
 
 }  // namespace
-
-VmacConv2d::VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
-                       const VmacConfig& config, const AnalogOptions& analog,
-                       VmacConvMode mode, Rng rng)
-    : VmacConv2d(std::move(weight), stride, padding, config, analog, options_for_mode(mode),
-                 rng) {}
 
 VmacConv2d::VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
                        const VmacConfig& config, const AnalogOptions& analog,
@@ -136,34 +123,9 @@ Tensor VmacConv2d::forward(const Tensor& input) {
     return output;
 }
 
-Shape VmacConv2d::plan(const Shape& in, runtime::EvalContext& ctx) {
-    const ConvLowering low = make_lowering(in);
-    const std::size_t batch = in.dim(0);
-    const std::size_t cout = weight_.dim(0);
-    const std::size_t nmult = backend_->config().nmult;
-    (void)ctx.reserve_scratch(this, 0, batch * low.columns_floats());
-    // One double staging pair per chunk of the tile loop, stored as floats
-    // (2 * nmult doubles = 4 * nmult floats; arena blocks are 64-byte
-    // aligned, so the reinterpret to double* is safe).
-    const std::size_t tiles = batch * cout;
-    const std::size_t grain = runtime::suggest_grain(tiles, 1);
-    const std::size_t chunks = (tiles + grain - 1) / grain;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        (void)ctx.reserve_scratch(this, static_cast<int>(1 + c), 4 * nmult);
-    }
-    return Shape{batch, cout, low.out_h(), low.out_w()};
-}
-
 Shape VmacConv2d::output_shape(const Shape& in) const {
     const ConvLowering low = make_lowering(in);
     return Shape{in.dim(0), weight_.dim(0), low.out_h(), low.out_w()};
-}
-
-Tensor VmacConv2d::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    // Evaluation-only module: no training fallback (backward throws).
-    Tensor output = nn::arena_output(ctx, output_shape(input.shape()));
-    forward_planned(input.data(), input.shape(), output.data(), ctx);
-    return output;
 }
 
 void VmacConv2d::forward_planned(const float* input, const Shape& in_shape, float* out,

@@ -22,20 +22,11 @@
 
 #include "ams/vmac_backend.hpp"
 #include "nn/module.hpp"
+#include "runtime/eval_context.hpp"
 #include "runtime/rng_stream.hpp"
 #include "tensor/im2col.hpp"
 
 namespace ams::vmac {
-
-/// Fidelity of the per-VMAC computation (legacy selector; the two modes
-/// are now thin aliases for the corresponding VmacBackend kinds).
-enum class VmacConvMode {
-    /// Full behavioural simulation: operand codecs + ADC per chunk.
-    kBitExact,
-    /// Exact digital partial sums + one uniform(-LSB/2, LSB/2) error per
-    /// chunk — per-VMAC granularity without the operand re-quantization.
-    kPerVmacNoise,
-};
 
 /// Evaluation-only convolution through explicit VMAC hardware.
 class VmacConv2d : public nn::Module {
@@ -46,19 +37,13 @@ public:
     /// tile of every forward pass draws from its own derived generator,
     /// so outputs are bit-identical at any AMSNET_THREADS.
     /// Throws std::invalid_argument on shape/config mismatch.
-    VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
-               const VmacConfig& config, const AnalogOptions& analog, VmacConvMode mode,
-               Rng rng);
-
-    /// Backend-generic constructor: routes every VMAC-sized chunk through
-    /// the datapath selected by `backend` (see ams/vmac_backend.hpp).
+    /// Every VMAC-sized chunk is routed through the datapath selected by
+    /// `backend` (see ams/vmac_backend.hpp).
     VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
                const VmacConfig& config, const AnalogOptions& analog,
                const BackendOptions& backend, Rng rng);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
 
     /// Evaluation-only: backward is not implemented (the paper's proposal
     /// applies this model at evaluation time). Throws std::logic_error
@@ -75,12 +60,11 @@ public:
     /// Output shape for a given input shape (validates like forward).
     [[nodiscard]] Shape output_shape(const Shape& in) const;
 
-    /// Planned-execution hook: runs one forward pass over `input` (laid
-    /// out as `in_shape`) into the caller-provided `out` buffer, reserving
-    /// its scratch from `ctx` exactly like forward(input, ctx). Consumes
-    /// one noise epoch; arithmetic, tile/stream mapping, and scratch keys
-    /// are identical to the module path, so a compiled plan sharing this
-    /// module's EvalContext stays bit-identical to the module walk.
+    /// Compiled-plan hook: runs one forward pass over `input` (laid out
+    /// as `in_shape`) into the caller-provided `out` buffer, with its
+    /// scratch reserved from `ctx`. Consumes one noise epoch; arithmetic
+    /// and tile/stream mapping are identical to forward(input), so a plan
+    /// stays bit-identical to the allocating eval-mode forward.
     void forward_planned(const float* input, const Shape& in_shape, float* out,
                          runtime::EvalContext& ctx);
 

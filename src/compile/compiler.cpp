@@ -32,7 +32,7 @@ namespace {
 namespace metrics = runtime::metrics;
 
 /// Arena slots are 16-float (64-byte) aligned so every value base has the
-/// same alignment class as a module-walk arena allocation — a precondition
+/// same alignment class as a fresh arena allocation — a precondition
 /// of the whole-tensor bit-identity argument for SIMD elementwise tails.
 std::size_t align16(std::size_t n) {
     return (n + 15) / 16 * 16;
@@ -42,8 +42,8 @@ bool has_tail(StepKind kind) {
     return kind == StepKind::kConv || kind == StepKind::kVmacConv || kind == StepKind::kLinear;
 }
 
-/// True for tail ops that replace a whole module-walk layer (and its
-/// arena output); kBias / kRecord are parts of their parent layer.
+/// True for tail ops that replace a whole layer (and its output buffer);
+/// kBias / kRecord are parts of their parent layer.
 bool counts_as_layer(EwOp::Kind kind) {
     return kind == EwOp::Kind::kInject || kind == EwOp::Kind::kBatchNorm ||
            kind == EwOp::Kind::kRelu || kind == EwOp::Kind::kClippedRelu ||
@@ -101,7 +101,7 @@ const char* step_name(StepKind kind) {
 }
 
 /// Builds a Program by walking the module graph in exactly the order the
-/// module-walk forward visits it, emitting flat steps.
+/// modules' forward visits it, emitting flat steps.
 class Builder {
 public:
     Builder(nn::Module& root, const Shape& input, const CompileOptions& options) {
@@ -193,7 +193,7 @@ private:
     }
 
     /// Pre-quantizes `w` on the DoReFa grid for bits < 32 (bit-for-bit
-    /// the per-pass quantization of the module walk); aliasing of latent
+    /// the per-call quantization of the quantized layers' forward); aliasing of latent
     /// FP32 weights is the caller's choice.
     const float* own_quantized(const Tensor& w, std::size_t bits) {
         p_.owned.emplace_back(w.size());
@@ -205,7 +205,8 @@ private:
 
     /// Emits one elementwise layer: fused into the preceding step's tail
     /// when legal, else standalone (in place when its input has no later
-    /// use). `alloc_floats` is what the module walk would allocate for it.
+    /// use). Stats::module_walk_floats counts the buffer a per-layer
+    /// forward would allocate for it.
     void emit_ew(EwOp op, const std::string& label) {
         const bool is_record = op.kind == EwOp::Kind::kRecord;
         if (!is_record) p_.stats.module_walk_floats += shape_of(cur_).numel();
@@ -380,8 +381,8 @@ private:
             s.tail.push_back(b);
         } else if (conv.bias() != nullptr) {
             // The layer's own digital bias is part of the conv step, not
-            // of the fusion pass (the module walk applies it inside the
-            // GEMM epilogue too).
+            // of the fusion pass (Conv2d::forward adds it per image right
+            // after the GEMM too).
             EwOp b;
             b.kind = EwOp::Kind::kBias;
             b.bias = conv.bias()->value.data();
@@ -418,8 +419,8 @@ private:
         inject.kind = EwOp::Kind::kInject;
         inject.injector = &unit.injector();
         emit_ew(inject, "inject");
-        // The injector's arena copy exists on the module walk whether or
-        // not it is enabled.
+        // A per-layer forward copies the injector's output whether or not
+        // it is enabled.
         EwOp record;
         record.kind = EwOp::Kind::kRecord;
         record.unit = &unit;
@@ -430,7 +431,7 @@ private:
             bn.bn = &unit.bn();
             emit_ew(bn, "bn");
         } else {
-            // Module-walk accounting still sees the BN output it no
+            // Per-layer accounting still sees the BN output the plan no
             // longer needs to materialize.
             p_.stats.module_walk_floats += shape_of(cur_).numel();
             ++p_.stats.layers_fused;
@@ -512,7 +513,7 @@ private:
         s.kind = StepKind::kResidualAdd;
         s.in = dst;
         s.in2 = src;
-        s.out = dst;  // the module walk's in-place `m += shortcut`
+        s.out = dst;  // the residual blocks' in-place `m += shortcut`
         s.label = "residual_add";
         clear_grid(dst);  // a sum of grid points is generally off-grid
         push(std::move(s));
@@ -773,13 +774,6 @@ ExecutionPlan compile(nn::Module& root, const Shape& input, const CompileOptions
         }
     }
     return plan;
-}
-
-bool env_enabled() {
-    const char* v = std::getenv("AMSNET_COMPILE");
-    if (v == nullptr) return false;
-    const std::string s(v);
-    return s == "on" || s == "1";
 }
 
 }  // namespace ams::compile

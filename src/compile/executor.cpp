@@ -1,11 +1,13 @@
 // ExecutionPlan::run — the flat, dispatch-free interpreter over the
-// compiled steps. Every kernel call here is the *same* primitive the
-// module walk uses (conv_eval_run, gemm_bt, simd::*, normalize_eval,
-// forward_planned, pool_eval, reduce), applied over the same extents in
-// the same order, which is what makes default-options plans bit-identical
-// to root.forward(input, ctx).
+// compiled steps. Every kernel call here computes what the allocating
+// eval-mode forward of the corresponding layer computes (conv_eval_run,
+// gemm_bt, simd::*, normalize_eval, forward_planned, pool_eval, reduce),
+// over the same extents in the same order, which is what makes
+// default-options plans bit-identical to root.forward(input).
 #include "compile/plan.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -28,10 +30,12 @@ namespace metrics = runtime::metrics;
 
 /// The compiled shape with its batch dimension replaced by the run-time
 /// batch (offsets stay those of the compiled batch; extents scale).
+/// Built in an inline array: run() must stay allocation-free.
 Shape at_batch(const Shape& s, std::size_t batch) {
-    std::vector<std::size_t> dims(s.dims().begin(), s.dims().end());
+    std::array<std::size_t, Shape::kMaxRank> dims{};
+    std::copy(s.dims().begin(), s.dims().end(), dims.begin());
     dims[0] = batch;
-    return Shape(dims);
+    return Shape(std::span<const std::size_t>(dims.data(), s.rank()));
 }
 
 void add_bias_rows(float* data, const float* bias, std::size_t batch, std::size_t channels,
@@ -47,18 +51,19 @@ void add_bias_rows(float* data, const float* bias, std::size_t batch, std::size_
 }
 
 /// Whole-tensor application of one tail op — the same primitive call the
-/// module walk makes for the corresponding layer.
+/// corresponding layer's forward makes.
 void apply_ew_whole(const EwOp& op, float* data, const Shape& shape) {
     const std::size_t n = shape.numel();
     switch (op.kind) {
         case EwOp::Kind::kInject:
             // A disabled injector is skipped entirely: in place there is
             // nothing to copy, and no noise epoch is consumed — exactly
-            // the module path, which copies without consuming an epoch.
+            // like ErrorInjector::forward, which copies without consuming
+            // an epoch.
             if (op.injector->enabled()) {
                 // Pass the leading dims so the chip-field pre-pass keys
-                // offsets per output channel, identically to the module
-                // walk's shape-aware inject().
+                // offsets per output channel, identically to the
+                // shape-aware inject() of ErrorInjector::forward.
                 op.injector->inject_inplace(data, n, shape.rank() > 0 ? shape.dim(0) : 1,
                                             shape.rank() > 1 ? shape.dim(1) : 1);
             }
@@ -184,7 +189,7 @@ TailSplit split_tail(const Step& step) {
 
 /// Tail split for integer conv steps. The integer path is already a
 /// toleranced realization (no whole-tensor bit-identity contract to
-/// preserve against the module walk), so the per-element activations —
+/// preserve against the allocating forward), so the per-element activations —
 /// identical per-image vs whole-tensor — also run in-loop, fused right
 /// after requantization.
 TailSplit split_tail_int(const Step& step) {
@@ -474,7 +479,7 @@ Tensor ExecutionPlan::run(const Tensor& input, runtime::EvalContext& ctx) {
             }
             case StepKind::kResidualAdd: {
                 // Tensor::operator+= is a serial loop; keep the exact
-                // element order of the module walk's `m += shortcut`.
+                // element order of the residual blocks' `m += shortcut`.
                 float* dst = value_ptr(step.out);
                 const float* src = value_ptr(step.in2);
                 const std::size_t n = value_shape(step.out).numel();

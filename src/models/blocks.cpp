@@ -66,35 +66,6 @@ Tensor BottleneckBlock::forward(const Tensor& input) {
     return m;
 }
 
-Shape BottleneckBlock::plan(const Shape& in, runtime::EvalContext& ctx) {
-    const Shape a = act_in_->plan(in, ctx);
-    Shape s = unit1_->plan(a, ctx);
-    s = act1_->plan(s, ctx);
-    s = unit2_->plan(s, ctx);
-    s = act2_->plan(s, ctx);
-    s = unit3_->plan(s, ctx);
-    if (projection_) (void)projection_->plan(a, ctx);
-    return s;
-}
-
-Tensor BottleneckBlock::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    // Same call order as the allocating forward (the injectors' noise
-    // epochs advance per call); `a` stays valid across the main path
-    // because arena allocations never move earlier ones.
-    Tensor a = act_in_->forward(input, ctx);
-    Tensor m = unit1_->forward(a, ctx);
-    m = act1_->forward(m, ctx);
-    m = unit2_->forward(m, ctx);
-    m = act2_->forward(m, ctx);
-    m = unit3_->forward(m, ctx);
-    if (projection_) {
-        m += projection_->forward(a, ctx);
-        return m;
-    }
-    m += input;
-    return m;
-}
-
 Tensor BottleneckBlock::backward(const Tensor& grad_output) {
     Tensor g = unit3_->backward(grad_output);
     g = act2_->backward(g);
@@ -166,28 +137,6 @@ Tensor BasicBlock::forward(const Tensor& input) {
     m = unit2_->forward(m);
     if (projection_) {
         m += projection_->forward(a);
-        return m;
-    }
-    m += input;
-    return m;
-}
-
-Shape BasicBlock::plan(const Shape& in, runtime::EvalContext& ctx) {
-    const Shape a = act_in_->plan(in, ctx);
-    Shape s = unit1_->plan(a, ctx);
-    s = act1_->plan(s, ctx);
-    s = unit2_->plan(s, ctx);
-    if (projection_) (void)projection_->plan(a, ctx);
-    return s;
-}
-
-Tensor BasicBlock::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    Tensor a = act_in_->forward(input, ctx);
-    Tensor m = unit1_->forward(a, ctx);
-    m = act1_->forward(m, ctx);
-    m = unit2_->forward(m, ctx);
-    if (projection_) {
-        m += projection_->forward(a, ctx);
         return m;
     }
     m += input;

@@ -44,8 +44,6 @@ public:
                     const LayerCommon& common, Rng& rng, std::uint64_t noise_stream);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<nn::Parameter*> parameters() override;
     void set_training(bool training) override;
@@ -84,8 +82,6 @@ public:
                const LayerCommon& common, Rng& rng, std::uint64_t noise_stream);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<nn::Parameter*> parameters() override;
     void set_training(bool training) override;

@@ -20,19 +20,6 @@ Tensor ConvUnit::forward(const Tensor& input) {
     return bn_.forward(x);
 }
 
-Shape ConvUnit::plan(const Shape& in, runtime::EvalContext& ctx) {
-    Shape s = conv_.plan(in, ctx);
-    s = injector_.plan(s, ctx);
-    return bn_.plan(s, ctx);
-}
-
-Tensor ConvUnit::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    Tensor x = conv_.forward(input, ctx);
-    x = injector_.forward(x, ctx);
-    if (recording_) stats_.accumulate(x);
-    return bn_.forward(x, ctx);
-}
-
 Tensor ConvUnit::backward(const Tensor& grad_output) {
     Tensor g = bn_.backward(grad_output);
     g = injector_.backward(g);

@@ -48,8 +48,6 @@ public:
              std::uint64_t noise_stream, const vmac::DeviceProfile& device = {});
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<nn::Parameter*> parameters() override;
     void set_training(bool training) override;

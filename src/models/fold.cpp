@@ -65,9 +65,9 @@ Tensor apply_folded(const FoldedConv& folded, const Tensor& input, std::size_t s
         }
     } tail{folded.bias.data(), cout, low.out_spatial()};
 
-    // Shared ConvLowering + EvalContext conv path (same executor as
-    // Conv2d::forward(ctx) and the compiled plan); the local context keeps
-    // the verification helper self-contained.
+    // Shared ConvLowering + EvalContext conv path (same executor as the
+    // compiled plan); the local context keeps the verification helper
+    // self-contained.
     runtime::EvalContext ctx;
     nn::conv_eval_run(input.data(), batch, low, folded.weight.data(), cout, output.data(), ctx,
                       &folded, &BiasTail::apply, &tail);

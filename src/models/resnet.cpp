@@ -99,37 +99,6 @@ Tensor ResNet::forward(const Tensor& input) {
     return fc_injector_->forward(x);
 }
 
-Shape ResNet::plan(const Shape& in, runtime::EvalContext& ctx) {
-    Shape s = in;
-    if (quant_input_) s = quant_input_->plan(s, ctx);
-    s = stem_->plan(s, ctx);
-    if (maxpool_) s = maxpool_->plan(s, ctx);
-    for (auto& block : blocks_) s = block->plan(s, ctx);
-    s = final_act_->plan(s, ctx);
-    s = gap_.plan(s, ctx);
-    if (fc_act_) s = fc_act_->plan(s, ctx);
-    s = fc_->plan(s, ctx);
-    return fc_injector_->plan(s, ctx);
-}
-
-Tensor ResNet::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);
-    Tensor x;
-    if (quant_input_) {
-        x = quant_input_->forward(input, ctx);
-        x = stem_->forward(x, ctx);
-    } else {
-        x = stem_->forward(input, ctx);
-    }
-    if (maxpool_) x = maxpool_->forward(x, ctx);
-    for (auto& block : blocks_) x = block->forward(x, ctx);
-    x = final_act_->forward(x, ctx);
-    x = gap_.forward(x, ctx);
-    if (fc_act_) x = fc_act_->forward(x, ctx);
-    x = fc_->forward(x, ctx);
-    return fc_injector_->forward(x, ctx);
-}
-
 Tensor ResNet::backward(const Tensor& grad_output) {
     Tensor g = fc_injector_->backward(grad_output);
     g = fc_->backward(g);

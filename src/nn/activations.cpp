@@ -13,12 +13,6 @@ Tensor ReLU::forward(const Tensor& input) {
     return out;
 }
 
-Tensor ReLU::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // backward needs cached_input_
-    Tensor out = arena_output(ctx, input.shape());
-    simd::relu(input.data(), out.data(), out.size());
-    return out;
-}
 
 Tensor ReLU::backward(const Tensor& grad_output) {
     check_same_shape(grad_output, cached_input_, "ReLU::backward");
@@ -40,12 +34,6 @@ Tensor ClippedReLU::forward(const Tensor& input) {
     return out;
 }
 
-Tensor ClippedReLU::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);
-    Tensor out = arena_output(ctx, input.shape());
-    simd::clipped_relu(input.data(), out.data(), out.size(), ceiling_);
-    return out;
-}
 
 Tensor ClippedReLU::backward(const Tensor& grad_output) {
     check_same_shape(grad_output, cached_input_, "ClippedReLU::backward");

@@ -9,7 +9,6 @@ namespace ams::nn {
 class ReLU : public Module {
 public:
     Tensor forward(const Tensor& input) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::string name() const override { return "ReLU"; }
 
@@ -28,7 +27,6 @@ public:
     explicit ClippedReLU(float ceiling = 1.0f);
 
     Tensor forward(const Tensor& input) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::string name() const override { return "ClippedReLU"; }
     [[nodiscard]] float ceiling() const { return ceiling_; }

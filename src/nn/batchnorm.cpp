@@ -71,13 +71,9 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
             }
         }
     } else {
-        eval_normalize(input, output.data());
+        normalize_eval(input.data(), output.data(), batch, spatial);
     }
     return output;
-}
-
-void BatchNorm2d::eval_normalize(const Tensor& input, float* out_base) const {
-    normalize_eval(input.data(), out_base, input.dim(0), input.dim(2) * input.dim(3));
 }
 
 void BatchNorm2d::normalize_eval(const float* in, float* out, std::size_t batch,
@@ -93,27 +89,6 @@ void BatchNorm2d::normalize_eval(const float* in, float* out, std::size_t batch,
                                spatial, mean, inv_std, g, bt);
         }
     }
-}
-
-Shape BatchNorm2d::plan(const Shape& in, runtime::EvalContext& ctx) {
-    (void)ctx;  // elementwise over channels: no scratch
-    if (in.rank() != 4 || in.dim(1) != channels_) {
-        throw std::invalid_argument("BatchNorm2d::plan: expected {N, " +
-                                    std::to_string(channels_) + ", H, W}, got " + in.str());
-    }
-    return in;
-}
-
-Tensor BatchNorm2d::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // batch stats + caches for backward
-    if (input.rank() != 4 || input.dim(1) != channels_) {
-        throw std::invalid_argument("BatchNorm2d::forward: expected {N, " +
-                                    std::to_string(channels_) + ", H, W}, got " +
-                                    input.shape().str());
-    }
-    Tensor output = arena_output(ctx, input.shape());
-    eval_normalize(input, output.data());
-    return output;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {

@@ -22,8 +22,6 @@ public:
     explicit BatchNorm2d(std::size_t channels, float eps = 1e-5f, float momentum = 0.1f);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<Parameter*> parameters() override;
     [[nodiscard]] std::string name() const override { return "BatchNorm2d"; }
@@ -42,7 +40,7 @@ public:
     /// `channels() x spatial` each: out = gamma*(x-mean)*inv_std + beta
     /// from the running statistics. `in == out` is allowed (the SIMD
     /// primitive is elementwise). This is the hook the compiled-plan
-    /// executor shares with forward(input, ctx): per-channel arithmetic is
+    /// executor shares with the eval-mode forward: per-channel arithmetic is
     /// identical for any batch split, so applying it per image inside a
     /// fused GEMM tail stays bit-identical to the whole-tensor call.
     void normalize_eval(const float* in, float* out, std::size_t batch,
@@ -66,10 +64,6 @@ private:
     std::vector<float> cached_inv_std_;
     Shape cached_shape_;
     bool cached_training_ = true;
-
-    /// Shared eval-mode normalization: writes g*(x-m)*inv_std + b per
-    /// channel from the running statistics into `out`.
-    void eval_normalize(const Tensor& input, float* out) const;
 };
 
 }  // namespace ams::nn

@@ -3,11 +3,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "nn/conv_eval.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/trace.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_kernels.hpp"
 
 namespace ams::nn {
 
@@ -103,37 +101,6 @@ Tensor Conv2d::forward(const Tensor& input) {
                 if (bias_) add_bias(output.data() + b * out_image, out_spatial);
             }
         });
-    return output;
-}
-
-Shape Conv2d::plan(const Shape& in, runtime::EvalContext& ctx) {
-    const ConvLowering low = make_lowering(in);
-    conv_eval_reserve(ctx, this, in.dim(0), low.patch_size(), low.out_spatial());
-    return Shape{in.dim(0), opts_.out_channels, low.out_h(), low.out_w()};
-}
-
-Tensor Conv2d::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // backward needs the caches
-    lowering_ = make_lowering(input.shape());
-
-    const std::size_t batch = input.dim(0);
-    Tensor output =
-        arena_output(ctx, Shape{batch, opts_.out_channels, lowering_.out_h(), lowering_.out_w()});
-
-    // Local struct (not a lambda): conv_eval_run takes a plain function
-    // pointer so the hot path stays allocation-free.
-    struct BiasTail {
-        const Conv2d* conv;
-        std::size_t out_spatial;
-        static void apply(void* self, float* out_image, std::size_t /*b*/) {
-            const auto* tail = static_cast<const BiasTail*>(self);
-            tail->conv->add_bias(out_image, tail->out_spatial);
-        }
-    } tail{this, lowering_.out_spatial()};
-
-    conv_eval_run(input.data(), batch, lowering_, forward_weight().data(), opts_.out_channels,
-                  output.data(), ctx, this, bias_ ? &BiasTail::apply : nullptr,
-                  bias_ ? &tail : nullptr);
     return output;
 }
 

@@ -34,8 +34,6 @@ public:
     Conv2d(const Conv2dOptions& opts, Rng& rng);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<Parameter*> parameters() override;
     [[nodiscard]] std::string name() const override { return "Conv2d"; }

@@ -7,18 +7,6 @@
 
 namespace ams::nn {
 
-void conv_eval_reserve(runtime::EvalContext& ctx, const void* scratch_owner, std::size_t batch,
-                       std::size_t patch, std::size_t out_spatial) {
-    const std::size_t grain = runtime::suggest_grain(batch, 1);
-    const std::size_t n_chunks = (batch + grain - 1) / grain;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-        const int base = static_cast<int>(4 * c);
-        (void)ctx.reserve_scratch(scratch_owner, base + 3, patch * out_spatial);
-        (void)ctx.reserve_scratch(scratch_owner, base + GemmPackBuffers::kPackB,
-                                  packed_b_floats(patch, out_spatial));
-    }
-}
-
 void conv_eval_run(const float* input, std::size_t batch, const ConvLowering& low,
                    const float* weight, std::size_t out_channels, float* out,
                    runtime::EvalContext& ctx, const void* scratch_owner, ConvEpilogueFn epilogue,
@@ -28,11 +16,17 @@ void conv_eval_run(const float* input, std::size_t batch, const ConvLowering& lo
     const std::size_t patch = low.patch_size();
     const std::size_t out_image = out_channels * out_spatial;
 
-    // Reservations run serially before the region (re-planning on a shape
-    // change, e.g. the last partial batch); inside the region
+    // Reservations run serially before the region (a new shape, e.g. the
+    // last partial batch, grows them once); inside the region
     // reserve_scratch is a pure lookup, safe from concurrent chunks.
-    conv_eval_reserve(ctx, scratch_owner, batch, patch, out_spatial);
     const std::size_t grain = runtime::suggest_grain(batch, 1);
+    const std::size_t n_chunks = (batch + grain - 1) / grain;
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+        const int base = static_cast<int>(4 * c);
+        (void)ctx.reserve_scratch(scratch_owner, base + 3, patch * out_spatial);
+        (void)ctx.reserve_scratch(scratch_owner, base + GemmPackBuffers::kPackB,
+                                  packed_b_floats(patch, out_spatial));
+    }
     runtime::parallel_for(0, batch, grain, [&](std::size_t b_begin, std::size_t b_end) {
         const int base = static_cast<int>(4 * (b_begin / grain));
         float* columns = ctx.reserve_scratch(scratch_owner, base + 3, patch * out_spatial);

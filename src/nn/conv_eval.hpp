@@ -1,9 +1,8 @@
 // Shared eval-mode convolution executor: im2col + packed GEMM over
-// per-chunk EvalContext scratch. One implementation serves
-// Conv2d::forward(ctx), the folded-conv path (models/fold.cpp), and the
-// compiled-plan executor (src/compile) — callers that pass the same
-// scratch owner share buffers and, by construction, bit-identical
-// numerics with the module walk.
+// per-chunk EvalContext scratch. One implementation serves the
+// folded-conv path (models/fold.cpp) and the compiled-plan executor
+// (src/compile); its arithmetic matches the allocating eval-mode
+// Conv2d::forward bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -19,23 +18,15 @@ namespace ams::nn {
 /// eval hot path must not touch the heap.
 using ConvEpilogueFn = void (*)(void* epilogue_ctx, float* out_image, std::size_t image_index);
 
-/// Reserves the per-chunk eval scratch (im2col columns + GEMM pack
-/// buffers) for a batch of `batch` images in the context registry, keyed
-/// by `scratch_owner`. Slot layout per chunk, base = 4 * chunk: the
-/// GemmPackBuffers slots (kPackB = 1, kTranspose = 2) plus the column
-/// buffer at base + 3; kPackA deliberately stays thread-local inside the
-/// kernels. Serial — call before any parallel region; at steady state
-/// every reservation is a pure lookup.
-void conv_eval_reserve(runtime::EvalContext& ctx, const void* scratch_owner, std::size_t batch,
-                       std::size_t patch, std::size_t out_spatial);
-
 /// Runs one eval-mode convolution: for each image, im2col into the
 /// chunk's column scratch, then out (Cout x OHW) = weight (Cout x patch)
 /// * columns (patch x OHW) via the packed GEMM, then the optional
-/// epilogue. Chunking depends only on (batch, suggest_grain), and the
-/// GEMM is row-partition invariant, so results are bit-identical at any
-/// thread count. `out` must hold batch * out_channels * out_spatial
-/// floats and be disjoint from `input`.
+/// epilogue. Per-chunk scratch, base = 4 * chunk: the GemmPackBuffers
+/// slots (kPackB = 1, kTranspose = 2) plus the column buffer at base + 3;
+/// kPackA stays thread-local inside the kernels. Chunking depends only
+/// on (batch, suggest_grain), and the GEMM is row-partition invariant,
+/// so results are bit-identical at any thread count. `out` must hold
+/// batch * out_channels * out_spatial floats and be disjoint from `input`.
 void conv_eval_run(const float* input, std::size_t batch, const ConvLowering& low,
                    const float* weight, std::size_t out_channels, float* out,
                    runtime::EvalContext& ctx, const void* scratch_owner,

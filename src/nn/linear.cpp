@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_kernels.hpp"
 
 namespace ams::nn {
 
@@ -39,41 +38,6 @@ Tensor Linear::forward(const Tensor& input) {
     // y (N x Out) = x (N x In) * W^T (In x Out); W stored (Out x In).
     gemm_bt(input.data(), forward_weight().data(), output.data(), batch, in_features_,
             out_features_);
-    if (has_bias_) {
-        for (std::size_t b = 0; b < batch; ++b) {
-            float* row = output.data() + b * out_features_;
-            for (std::size_t j = 0; j < out_features_; ++j) row[j] += bias_.value[j];
-        }
-    }
-    return output;
-}
-
-Shape Linear::plan(const Shape& in, runtime::EvalContext& ctx) {
-    if (in.rank() != 2 || in.dim(1) != in_features_) {
-        throw std::invalid_argument("Linear::plan: expected {N, " +
-                                    std::to_string(in_features_) + "}, got " + in.str());
-    }
-    // SIMD-arm pack buffer for W^T (gemm_bt); a no-op-sized reservation is
-    // still registered so the scalar arm costs nothing extra.
-    (void)ctx.reserve_scratch(this, GemmPackBuffers::kPackB,
-                              packed_b_floats(in_features_, out_features_));
-    return Shape{in.dim(0), out_features_};
-}
-
-Tensor Linear::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // backward needs cached_input_
-    if (input.rank() != 2 || input.dim(1) != in_features_) {
-        throw std::invalid_argument("Linear::forward: expected {N, " +
-                                    std::to_string(in_features_) + "}, got " +
-                                    input.shape().str());
-    }
-    const std::size_t batch = input.dim(0);
-    Tensor output = arena_output(ctx, Shape{batch, out_features_});
-    (void)ctx.reserve_scratch(this, GemmPackBuffers::kPackB,
-                              packed_b_floats(in_features_, out_features_));
-    EvalContextPackBuffers pack(ctx, this, /*slot_base=*/0);
-    gemm_bt(input.data(), forward_weight().data(), output.data(), batch, in_features_,
-            out_features_, &pack);
     if (has_bias_) {
         for (std::size_t b = 0; b < batch; ++b) {
             float* row = output.data() + b * out_features_;

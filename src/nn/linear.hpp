@@ -19,8 +19,6 @@ public:
     Linear(std::size_t in_features, std::size_t out_features, Rng& rng, bool bias = true);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<Parameter*> parameters() override;
     [[nodiscard]] std::string name() const override { return "Linear"; }

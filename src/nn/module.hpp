@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/eval_context.hpp"
 #include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 
@@ -46,26 +45,6 @@ public:
 
     /// Computes the layer output, caching state needed by backward().
     virtual Tensor forward(const Tensor& input) = 0;
-
-    /// Plan-then-execute entry point: computes the output shape for an
-    /// input of shape `in` and reserves this layer's scratch in `ctx` so
-    /// the subsequent ctx-forward passes are allocation-free. Containers
-    /// propagate planning through their children. The default is the
-    /// shape-preserving no-op (correct for elementwise layers).
-    virtual Shape plan(const Shape& in, runtime::EvalContext& ctx) {
-        (void)ctx;
-        return in;
-    }
-
-    /// Arena-aware forward: writes the output into `ctx`'s activation
-    /// arena (a borrowed Tensor) instead of heap-allocating it. Migrated
-    /// modules override this for eval mode; the default — and every
-    /// module in training mode — falls back to the allocating forward,
-    /// so the refactor lands incrementally and numerics never change.
-    virtual Tensor forward(const Tensor& input, runtime::EvalContext& ctx) {
-        (void)ctx;
-        return forward(input);
-    }
 
     /// Given dL/d(output), accumulates parameter gradients and returns
     /// dL/d(input). Must be called after forward() on the same input.
@@ -101,12 +80,6 @@ protected:
 private:
     bool training_ = true;
 };
-
-/// Borrowed output tensor over `shape.numel()` floats bump-allocated from
-/// the context's activation arena. Valid until the caller's next rewind.
-[[nodiscard]] inline Tensor arena_output(runtime::EvalContext& ctx, const Shape& shape) {
-    return Tensor::borrowed(shape, ctx.alloc_activation(shape.numel()));
-}
 
 /// Convenience: zero the gradients of a parameter set.
 void zero_grads(const std::vector<Parameter*>& params);

@@ -69,18 +69,6 @@ Tensor MaxPool2d::forward(const Tensor& input) {
     return out;
 }
 
-Shape MaxPool2d::plan(const Shape& in, runtime::EvalContext& ctx) {
-    (void)ctx;  // backward is never called on the planned path: no argmax scratch
-    return out_shape(in);
-}
-
-Tensor MaxPool2d::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // backward needs argmax_
-    Tensor out = arena_output(ctx, out_shape(input.shape()));
-    pool(input, out.data(), nullptr);
-    return out;
-}
-
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
     if (grad_output.shape() != output_shape_) {
         throw std::invalid_argument("MaxPool2d::backward: grad shape " +
@@ -113,25 +101,6 @@ Tensor GlobalAvgPool::forward(const Tensor& input) {
     }
     input_shape_ = input.shape();
     Tensor out(Shape{input.dim(0), input.dim(1)});
-    reduce(input, out.data());
-    return out;
-}
-
-Shape GlobalAvgPool::plan(const Shape& in, runtime::EvalContext& ctx) {
-    (void)ctx;
-    if (in.rank() != 4) {
-        throw std::invalid_argument("GlobalAvgPool::plan: expected NCHW, got " + in.str());
-    }
-    return Shape{in.dim(0), in.dim(1)};
-}
-
-Tensor GlobalAvgPool::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);
-    if (input.rank() != 4) {
-        throw std::invalid_argument("GlobalAvgPool::forward: expected NCHW, got " +
-                                    input.shape().str());
-    }
-    Tensor out = arena_output(ctx, Shape{input.dim(0), input.dim(1)});
     reduce(input, out.data());
     return out;
 }

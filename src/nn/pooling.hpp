@@ -14,8 +14,6 @@ public:
     explicit MaxPool2d(std::size_t window, std::size_t stride = 0, std::size_t padding = 0);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
 
@@ -24,7 +22,7 @@ public:
 
     /// Eval-only pooling into a caller-provided buffer (no argmax record,
     /// no module state touched). The compiled-plan executor's hook; the
-    /// loop is the same one forward(input, ctx) runs.
+    /// loop is the same one forward(input) runs.
     void pool_eval(const Tensor& input, float* out) const { pool(input, out, nullptr); }
 
 private:
@@ -44,8 +42,6 @@ private:
 class GlobalAvgPool : public Module {
 public:
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
 

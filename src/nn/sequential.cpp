@@ -16,21 +16,6 @@ Tensor Sequential::forward(const Tensor& input) {
     return x;
 }
 
-Shape Sequential::plan(const Shape& in, runtime::EvalContext& ctx) {
-    Shape s = in;
-    for (auto& m : modules_) s = m->plan(s, ctx);
-    return s;
-}
-
-Tensor Sequential::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (modules_.empty()) return forward(input);
-    Tensor x = modules_.front()->forward(input, ctx);
-    for (std::size_t i = 1; i < modules_.size(); ++i) {
-        x = modules_[i]->forward(x, ctx);
-    }
-    return x;
-}
-
 Tensor Sequential::backward(const Tensor& grad_output) {
     Tensor g = grad_output;
     for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) g = (*it)->backward(g);

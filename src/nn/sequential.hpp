@@ -25,8 +25,6 @@ public:
     }
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<Parameter*> parameters() override;
     void set_training(bool training) override;

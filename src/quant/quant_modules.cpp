@@ -25,18 +25,6 @@ Tensor QuantAct::forward(const Tensor& input) {
     return out;
 }
 
-Tensor QuantAct::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // backward needs cached_input_
-    Tensor out = nn::arena_output(ctx, input.shape());
-    if (bits_ >= kFloatBits) {
-        simd::clamp(input.data(), out.data(), out.size(), 0.0f, 1.0f);
-        return out;
-    }
-    const std::size_t levels = magnitude_levels(bits_);
-    simd::quantize_unit(input.data(), out.data(), out.size(), static_cast<float>(levels));
-    return out;
-}
-
 Tensor QuantAct::backward(const Tensor& grad_output) {
     check_same_shape(grad_output, cached_input_, "QuantAct::backward");
     Tensor grad = grad_output;
@@ -68,17 +56,6 @@ Tensor QuantInput::forward(const Tensor& input) {
     return out;
 }
 
-Tensor QuantInput::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // backward needs cached_scaled_
-    Tensor out = nn::arena_output(ctx, input.shape());
-    const float inv = 1.0f / scale_;
-    simd::scale_clamp(input.data(), out.data(), out.size(), inv, -1.0f, 1.0f);
-    if (bits_ >= kFloatBits) return out;
-    const std::size_t levels = magnitude_levels(bits_);
-    simd::quantize_signed(out.data(), out.data(), out.size(), static_cast<float>(levels));
-    return out;
-}
-
 Tensor QuantInput::backward(const Tensor& grad_output) {
     check_same_shape(grad_output, cached_scaled_, "QuantInput::backward");
     Tensor grad = grad_output;
@@ -105,27 +82,6 @@ Tensor QuantConv2d::forward(const Tensor& input) {
     ste_scale_ = std::move(dq.ste_scale);
     conv_.set_effective_weight(std::move(dq.quantized));
     return conv_.forward(input);
-}
-
-Shape QuantConv2d::plan(const Shape& in, runtime::EvalContext& ctx) {
-    if (bits_w_ < kFloatBits) {
-        // Quantized-weight buffer, reused every pass.
-        (void)ctx.reserve_scratch(this, 0, conv_.weight().value.size());
-    }
-    return conv_.plan(in, ctx);
-}
-
-Tensor QuantConv2d::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // STE bookkeeping lives on that path
-    if (bits_w_ >= kFloatBits) {
-        conv_.clear_effective_weight();
-        return conv_.forward(input, ctx);
-    }
-    const Tensor& w = conv_.weight().value;
-    float* wq = ctx.reserve_scratch(this, 0, w.size());
-    dorefa_quantize_weights_into(w, bits_w_, wq);
-    conv_.set_effective_weight(Tensor::borrowed(w.shape(), wq));
-    return conv_.forward(input, ctx);
 }
 
 Tensor QuantConv2d::backward(const Tensor& grad_output) {
@@ -160,26 +116,6 @@ Tensor QuantLinear::forward(const Tensor& input) {
     ste_scale_ = std::move(dq.ste_scale);
     linear_.set_effective_weight(std::move(dq.quantized));
     return linear_.forward(input);
-}
-
-Shape QuantLinear::plan(const Shape& in, runtime::EvalContext& ctx) {
-    if (bits_w_ < kFloatBits) {
-        (void)ctx.reserve_scratch(this, 0, linear_.weight().value.size());
-    }
-    return linear_.plan(in, ctx);
-}
-
-Tensor QuantLinear::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);
-    if (bits_w_ >= kFloatBits) {
-        linear_.clear_effective_weight();
-        return linear_.forward(input, ctx);
-    }
-    const Tensor& w = linear_.weight().value;
-    float* wq = ctx.reserve_scratch(this, 0, w.size());
-    dorefa_quantize_weights_into(w, bits_w_, wq);
-    linear_.set_effective_weight(Tensor::borrowed(w.shape(), wq));
-    return linear_.forward(input, ctx);
 }
 
 Tensor QuantLinear::backward(const Tensor& grad_output) {

@@ -29,7 +29,6 @@ public:
     explicit QuantAct(std::size_t bits);
 
     Tensor forward(const Tensor& input) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::string name() const override { return "QuantAct"; }
     [[nodiscard]] std::size_t bits() const { return bits_; }
@@ -49,7 +48,6 @@ public:
     QuantInput(float max_abs_input, std::size_t bits);
 
     Tensor forward(const Tensor& input) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     [[nodiscard]] std::string name() const override { return "QuantInput"; }
     [[nodiscard]] float max_abs_input() const { return scale_; }
@@ -69,8 +67,6 @@ public:
     QuantConv2d(const nn::Conv2dOptions& opts, std::size_t bits_w, Rng& rng);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<nn::Parameter*> parameters() override { return conv_.parameters(); }
     void set_training(bool training) override {
@@ -104,8 +100,6 @@ public:
                 bool bias = true);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<nn::Parameter*> parameters() override { return linear_.parameters(); }
     void set_training(bool training) override {

@@ -15,8 +15,8 @@
 //     describes "where and how" a pass executes.
 //
 // The runtime layer knows nothing about Tensor; it deals in raw float
-// buffers. nn::arena_output() (nn/module.hpp) wraps an activation
-// allocation into a borrowed Tensor.
+// buffers. Callers wrap an activation allocation into a borrowed Tensor
+// (Tensor::borrowed).
 #pragma once
 
 #include <cstddef>

@@ -103,8 +103,8 @@ enum class Counter : int {
     kPlanCompiles,                 ///< ExecutionPlans built
     kPlanRuns,                     ///< compiled-plan forward passes
     kPlanLayersFused,              ///< elementwise ops absorbed into step tails
-    kPlanIntermediatesEliminated,  ///< module-walk tensors the plan never materializes
-    kPlanArenaBytesSaved,          ///< module-walk arena bytes minus plan block bytes
+    kPlanIntermediatesEliminated,  ///< per-layer tensors the plan never materializes
+    kPlanArenaBytesSaved,          ///< per-layer buffer bytes minus plan block bytes
 
     // Sweep orchestration (sweep/coordinator.cpp, sweep/worker.cpp)
     kSweepPointsCompleted,  ///< grid points computed and journaled by this process

@@ -29,22 +29,20 @@ struct InferenceServer::Request {
     std::uint64_t enqueue_ns = 0;
 };
 
-/// One pool entry: an independent model replica plus the arena-planned
-/// context its worker thread runs forwards in. The worker also keeps its
-/// per-batch gather/scratch vectors here so the dispatch loop performs no
-/// steady-state allocations of its own (result logits are per-request
-/// heap copies by contract — they outlive the arena rewind).
+/// One pool entry: an independent model replica, the ExecutionPlan
+/// compiled over it at [max_batch, CHW], and the context its worker
+/// thread runs that plan in. The worker also keeps its per-batch gather
+/// vector here so the dispatch loop performs no steady-state allocations
+/// of its own (result logits are per-request heap copies by contract —
+/// they outlive the arena rewind).
 struct InferenceServer::Instance {
     std::unique_ptr<nn::Module> model;
+    compile::ExecutionPlan plan;  ///< raw pointers into *model
     runtime::EvalContext ctx;
     std::vector<const float*> gather;  ///< per-batch image pointers
-    /// Compiled dispatch program over `model` (null: module walk). Built
-    /// at construction per CompileMode; shares `ctx` scratch keys with
-    /// the module path, so both stay usable and bit-identical.
-    std::unique_ptr<compile::ExecutionPlan> plan;
 
-    Instance(std::unique_ptr<nn::Module> m, std::uint64_t ctx_seed)
-        : model(std::move(m)), ctx(ctx_seed) {}
+    Instance(std::unique_ptr<nn::Module> m, compile::ExecutionPlan p, std::uint64_t ctx_seed)
+        : model(std::move(m)), plan(std::move(p)), ctx(ctx_seed) {}
 };
 
 InferenceServer::InferenceServer(models::ResNet& primary, const Shape& image_shape,
@@ -72,30 +70,18 @@ InferenceServer::InferenceServer(InstanceFactory factory, const Shape& image_sha
     for (std::size_t i = 0; i < options_.instances; ++i) {
         auto model = factory(i);
         if (!model) throw std::invalid_argument("InferenceServer: factory returned null model");
+        model->set_training(false);
+        // A graph the compiler cannot lower throws CompileError out of
+        // the constructor: the plan is the only inference path.
+        compile::CompileOptions copts;
+        copts.gemm_int = env_gemm_int_mode();  // AMSNET_GEMM_INT (off by default)
+        compile::ExecutionPlan plan = compile::compile(*model, batch_shape, copts);
         // Per-instance context seed: the context RNG root is not used by
         // the current module set (noise lives in module-owned streams),
         // but keep instances distinguishable for anything that does.
-        instances_.push_back(
-            std::make_unique<Instance>(std::move(model), options_.seed + 0x9E37 * (i + 1)));
-        Instance& inst = *instances_.back();
-        inst.model->set_training(false);
-        (void)inst.model->plan(batch_shape, inst.ctx);
-        inst.gather.reserve(options_.max_batch);
-        const bool want_compile =
-            options_.compile_mode == CompileMode::kOn ||
-            (options_.compile_mode == CompileMode::kAuto && compile::env_enabled());
-        if (want_compile) {
-            compile::CompileOptions copts;
-            copts.gemm_int = env_gemm_int_mode();  // AMSNET_GEMM_INT (off by default)
-            try {
-                inst.plan = std::make_unique<compile::ExecutionPlan>(
-                    compile::compile(*inst.model, batch_shape, copts));
-            } catch (const compile::CompileError&) {
-                // kAuto: unsupported graphs stay on the (bit-identical)
-                // module walk; kOn makes the failure a construction error.
-                if (options_.compile_mode == CompileMode::kOn) throw;
-            }
-        }
+        instances_.push_back(std::make_unique<Instance>(std::move(model), std::move(plan),
+                                                        options_.seed + 0x9E37 * (i + 1)));
+        instances_.back()->gather.reserve(options_.max_batch);
     }
     start_workers();
 }
@@ -218,10 +204,7 @@ void InferenceServer::run_batch(std::size_t instance_index, std::vector<Request>
     try {
         const Tensor batch_tensor =
             train::assemble_batch(instance.gather.data(), count, image_shape_, instance.ctx);
-        const Tensor logits =
-            instance.plan != nullptr
-                ? instance.plan->run(batch_tensor, instance.ctx)
-                : train::forward_batch(*instance.model, batch_tensor, instance.ctx);
+        const Tensor logits = instance.plan.run(batch_tensor, instance.ctx);
         if (logits.rank() != 2 || logits.dim(0) != count) {
             throw std::runtime_error("InferenceServer: model produced logits of shape " +
                                      logits.shape().str() + " for a batch of " +

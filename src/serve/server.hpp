@@ -6,9 +6,9 @@
 // requests arrive asynchronously, get coalesced into batches under a
 // latency budget, and are executed by a pool of model *instances* — each
 // an eval-only replica of one primary model (models::make_eval_replica)
-// with its own arena-planned EvalContext, so the steady-state model path
-// stays allocation-free and noisy AMS backends stay statistically
-// independent across instances.
+// with its own compiled ExecutionPlan and EvalContext, so the
+// steady-state model path stays allocation-free and noisy AMS backends
+// stay statistically independent across instances.
 //
 // Architecture (DESIGN.md §12):
 //
@@ -34,9 +34,8 @@
 // Determinism contract: a deterministic model configuration (no AMS
 // noise, e.g. the bit_exact datapath) produces logits *bit-identical* to
 // train::evaluate on the same images at any instance count, batch size,
-// and request interleaving — serving shares the evaluate batch->logits
-// path (train::forward_batch) and per-image results are independent of
-// the batch they ride in. Stochastic configurations are *not* batch- or
+// and request interleaving — both run the compiled plan, and per-image
+// results are independent of the batch they ride in. Stochastic configurations are *not* batch- or
 // schedule-invariant (noise epochs advance per forward); instead each
 // instance owns an independent, per-instance-seeded noise stream.
 #pragma once
@@ -60,16 +59,6 @@
 
 namespace ams::serve {
 
-/// Whether instances execute batches through a compiled ExecutionPlan
-/// (src/compile) instead of the module walk. The two paths are
-/// bit-identical (the compiler's determinism contract), so this is purely
-/// a dispatch/throughput knob.
-enum class CompileMode {
-    kAuto,  ///< compile when AMSNET_COMPILE=on; fall back silently on CompileError
-    kOn,    ///< always compile; construction throws CompileError if unsupported
-    kOff,   ///< always run the module walk
-};
-
 /// Server knobs. Defaults serve a latency-lenient batch-throughput mix.
 struct ServerOptions {
     std::size_t instances = 1;        ///< model replicas == worker threads
@@ -78,7 +67,6 @@ struct ServerOptions {
                                         ///< 0 = never wait (batch whatever
                                         ///< is already queued)
     std::uint64_t seed = 0x5EBFE5EBFE5ULL;  ///< EvalContext seed base
-    CompileMode compile_mode = CompileMode::kAuto;  ///< plan-compiled dispatch
 
     /// Throws std::invalid_argument on degenerate values.
     void validate() const;
@@ -131,10 +119,10 @@ struct ServerStats {
 };
 
 /// Builds the model instance a worker will own. Called once per instance
-/// at server construction; must return a *planned-ready* module in eval
-/// mode (the server plans it for [max_batch, CHW] and owns it for the
-/// server's lifetime). Instances must be independent: concurrent
-/// forwards on distinct returned modules must not share mutable state.
+/// at server construction; the server switches it to eval mode, compiles
+/// it for [max_batch, CHW] and owns it for the server's lifetime.
+/// Instances must be independent: concurrent forwards on distinct
+/// returned modules must not share mutable state.
 using InstanceFactory = std::function<std::unique_ptr<nn::Module>(std::size_t instance)>;
 
 /// The in-process inference server.
@@ -147,9 +135,10 @@ public:
     InferenceServer(models::ResNet& primary, const Shape& image_shape,
                     const ServerOptions& options = {});
 
-    /// Generic form: serves whatever `factory` builds (any nn::Module
-    /// with a planned forward path — e.g. a Sequential wrapping a
-    /// VmacConv2d backend datapath).
+    /// Generic form: serves whatever `factory` builds (any module graph
+    /// compile::compile lowers — e.g. a Sequential wrapping a VmacConv2d
+    /// backend datapath). Throws compile::CompileError on a graph the
+    /// compiler cannot lower.
     InferenceServer(InstanceFactory factory, const Shape& image_shape,
                     const ServerOptions& options = {});
 

@@ -53,9 +53,9 @@ public:
 [[nodiscard]] GemmPackBuffers& tls_pack_buffers();
 
 /// Adapter that parks pack buffers in an EvalContext's scratch arena,
-/// keyed (owner, slot_base + which). Reserve the same keys during
-/// plan()/pre-region warm-up when the adapter will be used inside a
-/// parallel region: ensure() must then be a pure registry lookup.
+/// keyed (owner, slot_base + which). Reserve the same keys serially
+/// before the region when the adapter will be used inside a parallel
+/// region: ensure() must then be a pure registry lookup.
 class EvalContextPackBuffers final : public GemmPackBuffers {
 public:
     EvalContextPackBuffers(runtime::EvalContext& ctx, const void* owner, int slot_base)

@@ -28,7 +28,7 @@ public:
 
     Shape() = default;
     Shape(std::initializer_list<std::size_t> dims) { assign(dims.begin(), dims.size()); }
-    explicit Shape(const std::vector<std::size_t>& dims) { assign(dims.data(), dims.size()); }
+    explicit Shape(std::span<const std::size_t> dims) { assign(dims.data(), dims.size()); }
 
     /// Number of dimensions (0 for a scalar shape).
     [[nodiscard]] std::size_t rank() const { return rank_; }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 
 #include "compile/plan.hpp"
@@ -29,16 +28,32 @@ private:
     bool was_training_;
 };
 
+/// Compiles `model` for the steady-state batch shape (the final partial
+/// batch runs through the same plan at a smaller batch). A fresh plan per
+/// evaluate_* call, never cached across calls: compile snapshots the
+/// DoReFa-quantized weights, and the trainer evaluates between epochs
+/// while the weights change.
+compile::ExecutionPlan compile_for(models::ResNet& model, const Tensor& images,
+                                   std::size_t batch_size) {
+    const std::size_t first = std::min(batch_size, images.dim(0));
+    compile::CompileOptions options;
+    options.gemm_int = env_gemm_int_mode();  // AMSNET_GEMM_INT (off by default)
+    return compile::compile(model, Shape{first, images.dim(1), images.dim(2), images.dim(3)},
+                            options);
+}
+
 // The batch loop stays sequential on purpose: the model is a stateful
-// graph (cached activations for backward, per-layer noise-stream epochs),
-// so batches must hit it in a fixed order for reproducibility. All the
-// parallelism lives below — conv/gemm kernels, per-tile noise streams and
-// the top-k reduction — which is what makes one pass scale while staying
-// bit-identical at any AMSNET_THREADS.
-double one_pass_topk(models::ResNet& model, const Tensor& images,
+// graph (per-layer noise-stream epochs, activation recording), so batches
+// must hit it in a fixed order for reproducibility. All the parallelism
+// lives below — conv/gemm kernels, per-tile noise streams and the top-k
+// reduction — which is what makes one pass scale while staying
+// bit-identical at any AMSNET_THREADS. `batch_labels` is caller-owned
+// scratch with capacity >= batch_size, so a steady-state pass allocates
+// nothing.
+double one_pass_topk(compile::ExecutionPlan& plan, const Tensor& images,
                      const std::vector<std::size_t>& labels, std::size_t k,
                      std::size_t batch_size, runtime::EvalContext& ctx,
-                     compile::ExecutionPlan* plan) {
+                     std::vector<std::size_t>& batch_labels) {
     runtime::trace::Span pass_span("evaluate.pass");
     runtime::metrics::add(runtime::metrics::Counter::kEvalPasses);
     const std::size_t n = images.dim(0);
@@ -48,44 +63,12 @@ double one_pass_topk(models::ResNet& model, const Tensor& images,
         runtime::metrics::add(runtime::metrics::Counter::kEvalBatches);
         const std::size_t count = std::min(batch_size, n - start);
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        Tensor logits =
-            plan != nullptr
-                ? plan->run(slice_batch(images, start, count, ctx), ctx)
-                : forward_batch(model, slice_batch(images, start, count, ctx), ctx);
-        const std::vector<std::size_t> batch_labels(labels.begin() + start,
-                                                    labels.begin() + start + count);
+        const Tensor logits = plan.run(slice_batch(images, start, count, ctx), ctx);
+        batch_labels.assign(labels.begin() + start, labels.begin() + start + count);
         hits += nn::topk_accuracy(logits, batch_labels, k) * static_cast<double>(count);
         ctx.rewind(cp);  // logits and the batch die here
     }
     return hits / static_cast<double>(n);
-}
-
-/// Plans the model for the steady-state batch shape (the final partial
-/// batch re-reserves inside its own forward, which is just hash lookups
-/// plus at most one arena growth on the very first pass).
-void plan_for(models::ResNet& model, const Tensor& images, std::size_t batch_size,
-              runtime::EvalContext& ctx) {
-    const std::size_t first = std::min(batch_size, images.dim(0));
-    (void)model.plan(Shape{first, images.dim(1), images.dim(2), images.dim(3)}, ctx);
-}
-
-/// Builds the compiled ExecutionPlan for the steady-state batch when
-/// AMSNET_COMPILE is on; an unsupported graph silently falls back to the
-/// module walk (CompileError is the designed escape hatch, and the two
-/// paths are bit-identical anyway).
-std::optional<compile::ExecutionPlan> maybe_compile(models::ResNet& model, const Tensor& images,
-                                                    std::size_t batch_size) {
-    if (!compile::env_enabled()) return std::nullopt;
-    const std::size_t first = std::min(batch_size, images.dim(0));
-    compile::CompileOptions options;
-    options.gemm_int = env_gemm_int_mode();  // AMSNET_GEMM_INT (off by default)
-    try {
-        return compile::compile(model,
-                                Shape{first, images.dim(1), images.dim(2), images.dim(3)},
-                                options);
-    } catch (const compile::CompileError&) {
-        return std::nullopt;
-    }
 }
 
 }  // namespace
@@ -121,8 +104,14 @@ Tensor assemble_batch(const float* const* images, std::size_t count, const Shape
 }
 
 Tensor forward_batch(nn::Module& model, const Tensor& batch, runtime::EvalContext& ctx) {
+    if (model.training()) {
+        throw std::logic_error("forward_batch: model must be in eval mode");
+    }
     runtime::trace::Span span("forward.batch");
-    return model.forward(batch, ctx);
+    const Tensor logits = model.forward(batch);
+    Tensor out = Tensor::borrowed(logits.shape(), ctx.alloc_activation(logits.size()));
+    std::memcpy(out.data(), logits.data(), logits.size() * sizeof(float));
+    return out;
 }
 
 EvalResult evaluate_top1(models::ResNet& model, const Tensor& images,
@@ -138,14 +127,15 @@ EvalResult evaluate_top1(models::ResNet& model, const Tensor& images,
     model.set_training(false);
     runtime::EvalContext local;
     runtime::EvalContext& ec = ctx ? *ctx : local;
-    plan_for(model, images, batch_size, ec);
-    std::optional<compile::ExecutionPlan> plan = maybe_compile(model, images, batch_size);
+    compile::ExecutionPlan plan = compile_for(model, images, batch_size);
+    std::vector<std::size_t> batch_labels;
+    batch_labels.reserve(batch_size);
 
     EvalResult result;
     result.passes.reserve(passes);
     for (std::size_t p = 0; p < passes; ++p) {
-        result.passes.push_back(one_pass_topk(model, images, labels, 1, batch_size, ec,
-                                              plan ? &*plan : nullptr));
+        result.passes.push_back(
+            one_pass_topk(plan, images, labels, 1, batch_size, ec, batch_labels));
     }
     double sum = 0.0;
     for (double a : result.passes) sum += a;
@@ -168,9 +158,10 @@ double evaluate_topk(models::ResNet& model, const Tensor& images,
     model.set_training(false);
     runtime::EvalContext local;
     runtime::EvalContext& ec = ctx ? *ctx : local;
-    plan_for(model, images, batch_size, ec);
-    std::optional<compile::ExecutionPlan> plan = maybe_compile(model, images, batch_size);
-    return one_pass_topk(model, images, labels, k, batch_size, ec, plan ? &*plan : nullptr);
+    compile::ExecutionPlan plan = compile_for(model, images, batch_size);
+    std::vector<std::size_t> batch_labels;
+    batch_labels.reserve(batch_size);
+    return one_pass_topk(plan, images, labels, k, batch_size, ec, batch_labels);
 }
 
 std::vector<double> record_activation_means(models::ResNet& model, const Tensor& images,
@@ -183,14 +174,14 @@ std::vector<double> record_activation_means(models::ResNet& model, const Tensor&
     model.set_training(false);
     runtime::EvalContext local;
     runtime::EvalContext& ec = ctx ? *ctx : local;
-    plan_for(model, images, batch_size, ec);
+    compile::ExecutionPlan plan = compile_for(model, images, batch_size);
     model.reset_stats();
     model.set_recording(true);
     const std::size_t n = images.dim(0);
     for (std::size_t start = 0; start < n; start += batch_size) {
         const std::size_t count = std::min(batch_size, n - start);
         const runtime::TensorArena::Checkpoint cp = ec.checkpoint();
-        (void)model.forward(slice_batch(images, start, count, ec), ec);
+        (void)plan.run(slice_batch(images, start, count, ec), ec);
         ec.rewind(cp);
     }
     model.set_recording(false);

@@ -12,13 +12,14 @@
 
 namespace ams::train {
 
-// ----- the shared single-batch forward path -----
+// ----- batch primitives -----
 //
-// Every consumer that pushes a batch of images through a planned model —
-// the offline evaluation protocol below and the serve/ dynamic batcher —
-// goes through the same three primitives, so served results are
-// bit-identical to offline evaluation by construction (for deterministic
-// configurations; tests/serve_test.cpp enforces it).
+// Every consumer that pushes a batch of images through a model — the
+// offline evaluation protocol below and the serve/ dynamic batcher —
+// assembles it with these primitives and runs it through a compiled
+// compile::ExecutionPlan, so served results are bit-identical to offline
+// evaluation by construction (for deterministic configurations;
+// tests/serve_test.cpp enforces it).
 
 /// Copies images [start, start + count) of an NCHW set into a borrowed
 /// batch tensor in `ctx`'s activation arena (released by the caller's
@@ -34,11 +35,11 @@ namespace ams::train {
 [[nodiscard]] Tensor assemble_batch(const float* const* images, std::size_t count,
                                     const Shape& chw, runtime::EvalContext& ctx);
 
-/// One planned eval-mode forward of an assembled batch: the single
-/// batch -> logits entry point shared by evaluate_* and the inference
-/// server. The caller owns checkpoint/rewind discipline around it; the
-/// model must already be in eval mode and planned for (at least) this
-/// batch shape.
+/// The reference batch -> logits path: the model's allocating eval-mode
+/// forward, with the logits copied into a borrowed tensor in `ctx`'s
+/// activation arena (released by the caller's next rewind). Compiled
+/// plans are tested bit-for-bit against it. Throws std::logic_error if
+/// the model is in training mode.
 [[nodiscard]] Tensor forward_batch(nn::Module& model, const Tensor& batch,
                                    runtime::EvalContext& ctx);
 
@@ -54,12 +55,13 @@ struct EvalResult {
 /// previous training flag afterwards. Throws std::invalid_argument on
 /// empty input or passes == 0.
 ///
-/// Inference runs on the planned, arena-backed path: activations live in
-/// `ctx`'s arena and are rewound after each batch, so steady-state
+/// Inference runs through a compile::ExecutionPlan built once per call at
+/// the steady-state batch shape (honoring AMSNET_GEMM_INT): activations
+/// live in `ctx`'s arena and are rewound after each batch, so steady-state
 /// batches allocate nothing. Pass a context to reuse its warm arenas
 /// across calls (e.g. one context per sweep worker); with ctx == nullptr
 /// a context local to the call is used. Results are bit-identical either
-/// way, and identical to the pre-arena allocating path.
+/// way, and identical to the allocating eval-mode forward.
 [[nodiscard]] EvalResult evaluate_top1(models::ResNet& model, const Tensor& images,
                                        const std::vector<std::size_t>& labels,
                                        std::size_t batch_size = 64, std::size_t passes = 1,

@@ -1,9 +1,10 @@
-// The zero-allocation acceptance test: after planning and one warm-up
+// The zero-allocation acceptance test: after compiling and one warm-up
 // pass, a steady-state eval forward of the full quantized+AMS model must
-// perform ZERO heap allocations. Global operator new is overridden in
-// this binary to count every allocation, so any regression — a stray
-// Tensor copy, a std::function capture, a vector resize on the hot path —
-// fails this test by name.
+// perform ZERO heap allocations — through a bare ExecutionPlan, through a
+// further evaluate_top1 pass, and through a served batch. Global operator
+// new is overridden in this binary to count every allocation, so any
+// regression — a stray Tensor copy, a std::function capture, a vector
+// resize on the hot path — fails this test by name.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,10 +12,15 @@
 #include <new>
 #include <vector>
 
+#include "compile/plan.hpp"
 #include "models/resnet.hpp"
+#include "nn/pooling.hpp"
+#include "nn/sequential.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/server.hpp"
 #include "tensor/gemm.hpp"
+#include "train/evaluate.hpp"
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
@@ -93,25 +99,94 @@ TEST(AllocCountTest, SteadyStateEvalForwardIsAllocationFree) {
     x.fill_uniform(rng, -1.0f, 1.0f);
 
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
+    compile::ExecutionPlan plan = compile::compile(model, x.shape());
     // Warm-up: grows the arenas to their steady footprint and populates
     // the scratch registry.
     for (int i = 0; i < 2; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        (void)model.forward(x, ctx);
+        (void)plan.run(x, ctx);
         ctx.rewind(cp);
     }
 
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 3; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        Tensor out = model.forward(x, ctx);
+        Tensor out = plan.run(x, ctx);
         ctx.rewind(cp);
     }
     const std::size_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 
-    EXPECT_EQ(allocs, 0u) << "steady-state ctx forward must not touch the heap";
+    EXPECT_EQ(allocs, 0u) << "steady-state plan run must not touch the heap";
+}
+
+TEST(AllocCountTest, SteadyStateEvaluatePassIsAllocationFree) {
+    // evaluate_top1 compiles once per call; every pass after the first
+    // must add no heap traffic. Two calls on a warm context that differ
+    // only in their pass count must therefore allocate equally often.
+    runtime::ThreadPool::set_global_threads(1);
+    models::ResNet model(models::tiny_resnet_config(quant_ams_common()));
+    Rng rng(5);
+    Tensor images(Shape{10, 3, 8, 8});  // batches of 4, 4 and a partial 2
+    images.fill_uniform(rng, -1.0f, 1.0f);
+    std::vector<std::size_t> labels(images.dim(0));
+    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 4;
+
+    runtime::EvalContext ctx;
+    auto count_allocs = [&](std::size_t passes) {
+        const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+        (void)train::evaluate_top1(model, images, labels, 4, passes, &ctx);
+        return g_alloc_count.load(std::memory_order_relaxed) - before;
+    };
+    (void)count_allocs(2);  // warm-up: grows the context's arenas
+    const std::size_t two = count_allocs(2);
+    const std::size_t three = count_allocs(3);
+    runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
+
+    EXPECT_EQ(three, two) << "a steady-state evaluate pass must not touch the heap";
+}
+
+TEST(AllocCountTest, SteadyStateServedBatchModelPathIsAllocationFree) {
+    // A served request costs a fixed number of allocations by contract
+    // (its image copy, its promise, its result logits, the batch vector).
+    // The model path adds none: serving the full quantized+AMS ResNet
+    // must allocate exactly as often per request as serving a one-step
+    // plan. Requests go one at a time so both servers see the same queue
+    // history.
+    runtime::ThreadPool::set_global_threads(1);
+    models::ResNet primary(models::tiny_resnet_config(quant_ams_common()));
+    Rng rng(9);
+    Tensor image(Shape{3, 8, 8});
+    image.fill_uniform(rng, -1.0f, 1.0f);
+    serve::ServerOptions sopts;
+    sopts.max_batch = 4;
+    sopts.max_delay_us = 0;
+
+    auto allocs_per_round_trips = [&](serve::InferenceServer& server) {
+        for (int i = 0; i < 4; ++i) (void)server.submit(image).get();  // warm-up
+        const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+        for (int i = 0; i < 8; ++i) (void)server.submit(image).get();
+        return g_alloc_count.load(std::memory_order_relaxed) - before;
+    };
+    std::size_t resnet = 0;
+    {
+        serve::InferenceServer server(primary, image.shape(), sopts);
+        resnet = allocs_per_round_trips(server);
+    }
+    std::size_t pool = 0;
+    {
+        serve::InferenceServer server(
+            [](std::size_t) -> std::unique_ptr<nn::Module> {
+                auto seq = std::make_unique<nn::Sequential>();
+                seq->add(std::make_unique<nn::GlobalAvgPool>());
+                return seq;
+            },
+            image.shape(), sopts);
+        pool = allocs_per_round_trips(server);
+    }
+    runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
+
+    EXPECT_EQ(resnet, pool) << "the served model path must not touch the heap";
 }
 
 TEST(AllocCountTest, SteadyStateGemmAtIsAllocationFree) {

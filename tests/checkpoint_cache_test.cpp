@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "scratch_dir.hpp"
+
 namespace ams::train {
 namespace {
 
@@ -13,7 +15,7 @@ namespace fs = std::filesystem;
 class CheckpointCacheTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_cache_test").string();
+        dir_ = testutil::scratch_dir("amsnet_cache_test").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

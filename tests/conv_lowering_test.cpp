@@ -1,6 +1,6 @@
 // ConvLowering geometry edge cases, checked identically across every
-// consumer of the shared lowering: Conv2d (legacy + arena paths), the
-// quantized wrapper, and VmacConv2d. Also the satellite regression for
+// consumer of the shared lowering: Conv2d (allocating forward + compiled
+// plan), the quantized wrapper, and VmacConv2d. Also the satellite regression for
 // Conv2d::backward's cached-columns reuse.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gradcheck.hpp"
 #include "quant/quant_modules.hpp"
@@ -128,12 +129,12 @@ TEST(ConvLoweringTest, Conv2dMatchesNaiveReferenceOnEdgeGeometries) {
             EXPECT_NEAR(legacy[i], reference[i], 1e-4f) << g.label << " @" << i;
         }
 
-        // The arena path must agree bit-for-bit with the legacy path.
+        // The compiled plan must agree bit-for-bit with the allocating path.
         runtime::EvalContext ctx;
-        const Shape planned = conv.plan(x.shape(), ctx);
-        EXPECT_EQ(planned, legacy.shape()) << g.label;
-        const Tensor arena = conv.forward(x, ctx);
-        expect_same_bits(legacy, arena, g.label);
+        compile::ExecutionPlan plan = compile::compile(conv, x.shape());
+        const Tensor planned = plan.run(x, ctx);
+        EXPECT_EQ(planned.shape(), legacy.shape()) << g.label;
+        expect_same_bits(legacy, planned, g.label);
     }
 }
 
@@ -152,11 +153,11 @@ TEST(ConvLoweringTest, QuantConvFloatBitsMatchesPlainConvOnEdgeGeometries) {
         x.fill_uniform(rng_x, -1.0f, 1.0f);
 
         runtime::EvalContext ctx_a, ctx_b;
-        (void)plain.plan(x.shape(), ctx_a);
-        (void)qconv.plan(x.shape(), ctx_b);
-        expect_same_bits(plain.forward(x, ctx_a), qconv.forward(x, ctx_b), g.label);
-        // And the quantizing wrapper agrees with its own legacy path.
-        expect_same_bits(qconv.forward(x), qconv.forward(x, ctx_b), g.label);
+        compile::ExecutionPlan plain_plan = compile::compile(plain, x.shape());
+        compile::ExecutionPlan qconv_plan = compile::compile(qconv, x.shape());
+        expect_same_bits(plain_plan.run(x, ctx_a), qconv_plan.run(x, ctx_b), g.label);
+        // And the quantizing wrapper's plan agrees with its allocating path.
+        expect_same_bits(qconv.forward(x), qconv_plan.run(x, ctx_b), g.label);
     }
 }
 
@@ -176,15 +177,15 @@ TEST(ConvLoweringTest, VmacConvArenaMatchesLegacyOnEdgeGeometries) {
         // Two identically seeded instances: both consume noise epoch 0,
         // so any output difference can only come from the lowering/buffer
         // plumbing, which is exactly what this test pins down.
-        vmac::VmacConv2d legacy(w, g.stride, g.padding, cfg, {},
-                                vmac::VmacConvMode::kBitExact, Rng(22));
-        vmac::VmacConv2d planned(w, g.stride, g.padding, cfg, {},
-                                 vmac::VmacConvMode::kBitExact, Rng(22));
+        const vmac::BackendOptions exact{vmac::BackendKind::kBitExact};
+        vmac::VmacConv2d allocating(w, g.stride, g.padding, cfg, {}, exact, Rng(22));
+        vmac::VmacConv2d planned(w, g.stride, g.padding, cfg, {}, exact, Rng(22));
+        planned.set_training(false);
         runtime::EvalContext ctx;
-        const Shape out_shape = planned.plan(x.shape(), ctx);
-        const Tensor a = legacy.forward(x);
-        const Tensor b = planned.forward(x, ctx);
-        EXPECT_EQ(out_shape, a.shape()) << g.label;
+        compile::ExecutionPlan plan = compile::compile(planned, x.shape());
+        const Tensor a = allocating.forward(x);
+        const Tensor b = plan.run(x, ctx);
+        EXPECT_EQ(b.shape(), a.shape()) << g.label;
         expect_same_bits(a, b, g.label);
     }
 }

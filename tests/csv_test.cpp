@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "scratch_dir.hpp"
+
 namespace ams::core {
 namespace {
 
@@ -22,7 +24,7 @@ std::string read_file(const std::string& path) {
 class CsvTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_csv_test").string();
+        dir_ = testutil::scratch_dir("amsnet_csv_test").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

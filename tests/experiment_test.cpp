@@ -4,6 +4,8 @@
 
 #include <filesystem>
 
+#include "scratch_dir.hpp"
+
 namespace ams::core {
 namespace {
 
@@ -31,7 +33,7 @@ ExperimentOptions tiny_options(const std::string& cache_dir) {
 class ExperimentEnvTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_exp_test").string();
+        dir_ = testutil::scratch_dir("amsnet_exp_test").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

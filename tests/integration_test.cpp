@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "amsnet.hpp"
+#include "scratch_dir.hpp"
 
 namespace ams {
 namespace {
@@ -36,7 +37,7 @@ core::ExperimentOptions tiny_options(const std::string& dir) {
 class IntegrationTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_integration").string();
+        dir_ = testutil::scratch_dir("amsnet_integration").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

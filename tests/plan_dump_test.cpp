@@ -16,6 +16,7 @@
 #include "models/resnet.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/metrics.hpp"
+#include "scratch_dir.hpp"
 #include "train/evaluate.hpp"
 
 namespace ams {
@@ -57,8 +58,7 @@ TEST(PlanDumpTest, GoldenDumpForSingleConvUnit) {
 }
 
 TEST(PlanDumpTest, PlanDumpEnvExportsFile) {
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "amsnet_plan_dump_test";
+    const std::filesystem::path dir = testutil::scratch_dir("amsnet_plan_dump_test");
     const std::filesystem::path path = dir / "nested" / "plan.txt";
     std::filesystem::remove_all(dir);
     ::setenv("AMSNET_PLAN_DUMP", path.c_str(), 1);
@@ -81,7 +81,6 @@ TEST(PlanDumpTest, CompileAndRunUpdatePlanCounters) {
 
     auto unit = make_unit();
     runtime::EvalContext ctx;
-    (void)unit->plan(Shape{2, 3, 8, 8}, ctx);
     compile::ExecutionPlan plan = compile::compile(*unit, Shape{2, 3, 8, 8});
     EXPECT_EQ(metrics::value(metrics::Counter::kPlanCompiles), 1u);
     EXPECT_EQ(metrics::value(metrics::Counter::kPlanLayersFused), plan.stats().layers_fused);
@@ -104,13 +103,11 @@ TEST(PlanDumpTest, CompileAndRunUpdatePlanCounters) {
 }
 
 TEST(PlanDumpTest, EvaluatePathHonorsPlanDumpEnv) {
-    // The end-to-end wiring: AMSNET_COMPILE=on + AMSNET_PLAN_DUMP during
-    // evaluate_top1 leaves the tiny-ResNet plan IR on disk.
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "amsnet_plan_dump_eval";
+    // The end-to-end wiring: AMSNET_PLAN_DUMP during evaluate_top1 leaves
+    // the tiny-ResNet plan IR on disk.
+    const std::filesystem::path dir = testutil::scratch_dir("amsnet_plan_dump_eval");
     const std::filesystem::path path = dir / "resnet_plan.txt";
     std::filesystem::remove_all(dir);
-    ::setenv("AMSNET_COMPILE", "on", 1);
     ::setenv("AMSNET_PLAN_DUMP", path.c_str(), 1);
 
     models::LayerCommon common;
@@ -124,7 +121,6 @@ TEST(PlanDumpTest, EvaluatePathHonorsPlanDumpEnv) {
     (void)train::evaluate_top1(model, images, labels, 4, 1);
 
     ::unsetenv("AMSNET_PLAN_DUMP");
-    ::unsetenv("AMSNET_COMPILE");
     std::ifstream in(path);
     ASSERT_TRUE(in.good()) << "dump file not written: " << path;
     std::ostringstream content;

@@ -1,19 +1,21 @@
 // The graph compiler's acceptance criterion (DESIGN.md §13): a compiled
-// ExecutionPlan produces logits *bit-identical* to the module walk for
-// every backend, at any thread count, on both SIMD arms. These tests pin
-// that contract across the model variants the paper studies (quant+AMS,
-// FP32, bottleneck, stem-maxpool), all five VMAC datapaths, partial
-// batches, recording mode, post-compile injector toggles, the
-// AMSNET_COMPILE evaluate path, and serve's compiled replicas. The BN
-// fold pass (a deployment-semantics change, opt-in) is checked against
-// the reference fold (models::fold_conv_bn + apply_folded) instead.
+// ExecutionPlan produces logits *bit-identical* to the eval-mode
+// allocating Module::forward (the oracle) for every backend, at any
+// thread count, on both SIMD arms. These tests pin that contract across
+// the model variants the paper studies (quant+AMS, FP32, bottleneck,
+// stem-maxpool), all six VMAC datapaths, partial batches, recording mode,
+// post-compile injector toggles, the evaluate path, and serve's replicas.
+// The BN fold pass (a deployment-semantics change, opt-in) is checked
+// against the reference fold (models::fold_conv_bn + apply_folded) instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ams/vmac_backend.hpp"
@@ -23,6 +25,7 @@
 #include "models/fold.hpp"
 #include "models/resnet.hpp"
 #include "nn/activations.hpp"
+#include "nn/loss.hpp"
 #include "nn/sequential.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/simd.hpp"
@@ -52,37 +55,33 @@ void expect_bit_identical(const std::vector<float>& a, const std::vector<float>&
 }
 
 /// The core harness: fresh model per run (injector noise epochs advance
-/// per forward, so models are never reused across runs), module walk as
-/// reference, compiled plan as candidate, over {1, 4} threads and both
-/// SIMD arms.
+/// per forward, so models are never reused across runs), the eval-mode
+/// allocating forward as oracle, compiled plan as candidate, over {1, 4}
+/// threads and both SIMD arms.
 template <typename MakeModel>
 void expect_plan_matches_module(MakeModel&& make_model, const Tensor& x,
                                 const compile::CompileOptions& copts = {}) {
-    auto module_walk = [&] {
+    auto oracle = [&] {
         auto model = make_model();
         model->set_training(false);
-        runtime::EvalContext ctx;
-        (void)model->plan(x.shape(), ctx);
-        const Tensor out = model->forward(x, ctx);
-        return Tensor(out);  // deep copy out of the arena before ctx dies
+        return model->forward(x);
     };
     auto planned = [&] {
         auto model = make_model();
         model->set_training(false);
         runtime::EvalContext ctx;
-        (void)model->plan(x.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(*model, x.shape(), copts);
         const Tensor out = plan.run(x, ctx);
-        return Tensor(out);
+        return Tensor(out);  // deep copy out of the arena before ctx dies
     };
     const simd::Level saved = simd::active_level();
     for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
         if (level == simd::Level::kAvx2 && !simd::cpu_supports_avx2_fma()) continue;
         simd::set_level(level);
-        const std::vector<float> reference = with_threads(1, module_walk);
+        const std::vector<float> reference = with_threads(1, oracle);
         expect_bit_identical(reference, with_threads(1, planned));
         expect_bit_identical(reference, with_threads(4, planned));
-        expect_bit_identical(reference, with_threads(4, module_walk));
+        expect_bit_identical(reference, with_threads(4, oracle));
     }
     simd::set_level(saved);
 }
@@ -148,21 +147,19 @@ TEST(PlanIdentityTest, StemMaxpoolBitIdentical) {
 
 TEST(PlanIdentityTest, PartialBatchBitIdentical) {
     // A plan compiled at batch 5 must serve any batch <= 5 with the same
-    // bits as the module walk, including the epoch bookkeeping across a
+    // bits as the oracle, including the epoch bookkeeping across a
     // full-then-partial sequence (the evaluate tail-batch pattern).
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     const Tensor x5 = tiny_input();
     const Tensor x3 = Tensor::borrowed(Shape{3, 3, 8, 8}, const_cast<float*>(x5.data()));
 
-    auto module_walk = [&] {
+    auto oracle = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
-        runtime::EvalContext ctx;
-        (void)model.plan(x5.shape(), ctx);
         Tensor both(Shape{x5.dim(0) + x3.dim(0), cfg.num_classes});
-        const Tensor full = model.forward(x5, ctx);
+        const Tensor full = model.forward(x5);
         std::memcpy(both.data(), full.data(), full.size() * sizeof(float));
-        const Tensor tail = model.forward(x3, ctx);
+        const Tensor tail = model.forward(x3);
         std::memcpy(both.data() + full.size(), tail.data(), tail.size() * sizeof(float));
         return both;
     };
@@ -170,7 +167,6 @@ TEST(PlanIdentityTest, PartialBatchBitIdentical) {
         models::ResNet model(cfg);
         model.set_training(false);
         runtime::EvalContext ctx;
-        (void)model.plan(x5.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(model, x5.shape());
         Tensor both(Shape{x5.dim(0) + x3.dim(0), cfg.num_classes});
         const Tensor full = plan.run(x5, ctx);
@@ -179,8 +175,8 @@ TEST(PlanIdentityTest, PartialBatchBitIdentical) {
         std::memcpy(both.data() + full.size(), tail.data(), tail.size() * sizeof(float));
         return both;
     };
-    expect_bit_identical(with_threads(1, module_walk), with_threads(1, planned));
-    expect_bit_identical(with_threads(4, module_walk), with_threads(4, planned));
+    expect_bit_identical(with_threads(1, oracle), with_threads(1, planned));
+    expect_bit_identical(with_threads(4, oracle), with_threads(4, planned));
 }
 
 TEST(PlanIdentityTest, AllBackendsBitIdentical) {
@@ -216,20 +212,18 @@ TEST(PlanIdentityTest, AllBackendsBitIdentical) {
 
 TEST(PlanIdentityTest, InjectorToggleAfterCompileBitIdentical) {
     // The fused tail's inject slot is resolved at *run* time, so flipping
-    // the master AMS switch after compiling must track the module walk.
+    // the master AMS switch after compiling must track the oracle.
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     const Tensor x = tiny_input();
-    auto module_walk = [&] {
+    auto oracle = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         model.set_ams_enabled(false);
-        runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
-        const Tensor quiet = model.forward(x, ctx);
+        const Tensor quiet = model.forward(x);
         Tensor both(Shape{2 * quiet.dim(0), quiet.dim(1)});
         std::memcpy(both.data(), quiet.data(), quiet.size() * sizeof(float));
         model.set_ams_enabled(true);
-        const Tensor noisy = model.forward(x, ctx);
+        const Tensor noisy = model.forward(x);
         std::memcpy(both.data() + quiet.size(), noisy.data(), noisy.size() * sizeof(float));
         return both;
     };
@@ -237,7 +231,6 @@ TEST(PlanIdentityTest, InjectorToggleAfterCompileBitIdentical) {
         models::ResNet model(cfg);
         model.set_training(false);
         runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(model, x.shape());
         model.set_ams_enabled(false);
         const Tensor quiet = plan.run(x, ctx);
@@ -248,8 +241,8 @@ TEST(PlanIdentityTest, InjectorToggleAfterCompileBitIdentical) {
         std::memcpy(both.data() + quiet.size(), noisy.data(), noisy.size() * sizeof(float));
         return both;
     };
-    expect_bit_identical(with_threads(1, module_walk), with_threads(1, planned));
-    expect_bit_identical(with_threads(4, module_walk), with_threads(4, planned));
+    expect_bit_identical(with_threads(1, oracle), with_threads(1, planned));
+    expect_bit_identical(with_threads(4, oracle), with_threads(4, planned));
 }
 
 TEST(PlanIdentityTest, RecordingModeMatchesModuleWalk) {
@@ -258,34 +251,31 @@ TEST(PlanIdentityTest, RecordingModeMatchesModuleWalk) {
     // exactly (same serial double summation over the same values).
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     const Tensor x = tiny_input();
-    std::vector<double> walk_means;
+    std::vector<double> oracle_means;
     std::vector<double> plan_means;
-    auto module_walk = [&] {
+    auto oracle = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         model.set_recording(true);
-        runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
-        const Tensor out = model.forward(x, ctx);
-        walk_means = model.activation_means();
-        return Tensor(out);
+        Tensor out = model.forward(x);
+        oracle_means = model.activation_means();
+        return out;
     };
     auto planned = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(model, x.shape());
         model.set_recording(true);  // after compile: resolved at run time
         const Tensor out = plan.run(x, ctx);
         plan_means = model.activation_means();
         return Tensor(out);
     };
-    expect_bit_identical(with_threads(1, module_walk), with_threads(1, planned));
-    ASSERT_EQ(walk_means.size(), plan_means.size());
-    ASSERT_FALSE(walk_means.empty());
-    for (std::size_t i = 0; i < walk_means.size(); ++i) {
-        EXPECT_DOUBLE_EQ(walk_means[i], plan_means[i]) << "conv layer " << i;
+    expect_bit_identical(with_threads(1, oracle), with_threads(1, planned));
+    ASSERT_EQ(oracle_means.size(), plan_means.size());
+    ASSERT_FALSE(oracle_means.empty());
+    for (std::size_t i = 0; i < oracle_means.size(); ++i) {
+        EXPECT_DOUBLE_EQ(oracle_means[i], plan_means[i]) << "conv layer " << i;
     }
 }
 
@@ -320,7 +310,6 @@ TEST(PlanIdentityTest, FoldedPlanMatchesReferenceFold) {
     compile::CompileOptions copts;
     copts.fold_bn = true;
     runtime::EvalContext ctx;
-    (void)unit.plan(x.shape(), ctx);
     compile::ExecutionPlan plan = compile::compile(unit, x.shape(), copts);
     const Tensor out = plan.run(x, ctx);
 
@@ -338,8 +327,8 @@ TEST(PlanIdentityTest, FoldedPlanMatchesReferenceFold) {
 
 TEST(PlanIdentityTest, FoldedResNetRunsAndDropsBatchNorm) {
     // Network-level fold smoke test (quantized weights are re-quantized on
-    // the folded grid, so logits legitimately differ from the module
-    // walk): the plan compiles, runs, and contains no BN work.
+    // the folded grid, so logits legitimately differ from the unfolded
+    // forward): the plan compiles, runs, and contains no BN work.
     models::LayerCommon common = quant_ams_common();
     common.ams_enabled = false;  // folding is a deployment (noise-free) step
     const models::ResNetConfig cfg = models::tiny_resnet_config(common);
@@ -349,7 +338,6 @@ TEST(PlanIdentityTest, FoldedResNetRunsAndDropsBatchNorm) {
     compile::CompileOptions copts;
     copts.fold_bn = true;
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
     compile::ExecutionPlan plan = compile::compile(model, x.shape(), copts);
     const Tensor out = plan.run(x, ctx);
     ASSERT_EQ(out.rank(), 2u);
@@ -385,7 +373,38 @@ TEST(PlanIdentityTest, PlanArenaSmallerThanModuleWalk) {
     }
 }
 
-TEST(PlanIdentityTest, EvaluateWithCompileEnvMatchesModuleWalk) {
+/// Saves AMSNET_GEMM_INT and pins it off for the guard's lifetime: the
+/// integer GEMM path is a toleranced realization, not part of the
+/// bit-identity contract (the CI int8 shard exports AMSNET_GEMM_INT=int8
+/// globally), and evaluate_* and serve's compiles read it.
+class GemmIntOffGuard {
+public:
+    GemmIntOffGuard() {
+        const char* saved = ::getenv("AMSNET_GEMM_INT");
+        had_ = saved != nullptr;
+        if (had_) saved_ = saved;
+        ::setenv("AMSNET_GEMM_INT", "off", 1);
+    }
+    ~GemmIntOffGuard() {
+        if (had_) {
+            ::setenv("AMSNET_GEMM_INT", saved_.c_str(), 1);
+        } else {
+            ::unsetenv("AMSNET_GEMM_INT");
+        }
+    }
+    GemmIntOffGuard(const GemmIntOffGuard&) = delete;
+    GemmIntOffGuard& operator=(const GemmIntOffGuard&) = delete;
+
+private:
+    bool had_ = false;
+    std::string saved_;
+};
+
+TEST(PlanIdentityTest, EvaluatePassesMatchOracleTop1) {
+    // evaluate_top1's per-pass accuracies equal the top-1 of the oracle
+    // logits: a fresh, identically seeded model pushed through the same
+    // batch sequence (16 + a partial 8) with the allocating forward, so
+    // every injector consumes the same noise epochs in the same order.
     data::DatasetOptions dopts;
     dopts.classes = 4;
     dopts.train_per_class = 4;
@@ -394,30 +413,34 @@ TEST(PlanIdentityTest, EvaluateWithCompileEnvMatchesModuleWalk) {
     dopts.seed = 15;
     data::SyntheticImageNet ds(dopts);
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
+    const Tensor& images = ds.val_images();
+    const std::vector<std::size_t>& labels = ds.val_labels();
+    const std::size_t batch = 16;
+    const std::size_t passes = 3;
+    GemmIntOffGuard gemm_int_off;
 
-    auto passes = [&] {
-        models::ResNet model(cfg);
-        return train::evaluate_top1(model, ds.val_images(), ds.val_labels(), 16, 3).passes;
-    };
-    // The integer GEMM path is a toleranced realization, not part of the
-    // bit-identity contract — pin it off for this comparison (the CI int8
-    // shard exports AMSNET_GEMM_INT=int8 globally).
-    const char* saved_gemm_int = ::getenv("AMSNET_GEMM_INT");
-    const std::string saved_gemm_int_value = saved_gemm_int ? saved_gemm_int : "";
-    ::setenv("AMSNET_GEMM_INT", "off", 1);
-    ::unsetenv("AMSNET_COMPILE");
-    const std::vector<double> walked = passes();
-    ::setenv("AMSNET_COMPILE", "on", 1);
-    const std::vector<double> compiled = passes();
-    ::unsetenv("AMSNET_COMPILE");
-    if (saved_gemm_int) {
-        ::setenv("AMSNET_GEMM_INT", saved_gemm_int_value.c_str(), 1);
-    } else {
-        ::unsetenv("AMSNET_GEMM_INT");
-    }
-    ASSERT_EQ(walked.size(), compiled.size());
-    for (std::size_t i = 0; i < walked.size(); ++i) {
-        EXPECT_DOUBLE_EQ(walked[i], compiled[i]) << "pass " << i;
+    models::ResNet evaluated(cfg);
+    const std::vector<double> got =
+        train::evaluate_top1(evaluated, images, labels, batch, passes).passes;
+
+    models::ResNet oracle(cfg);
+    oracle.set_training(false);
+    runtime::EvalContext ctx;
+    const std::size_t n = images.dim(0);
+    ASSERT_EQ(got.size(), passes);
+    for (std::size_t p = 0; p < passes; ++p) {
+        double hits = 0.0;
+        for (std::size_t start = 0; start < n; start += batch) {
+            const std::size_t count = std::min(batch, n - start);
+            const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
+            const Tensor logits =
+                train::forward_batch(oracle, train::slice_batch(images, start, count, ctx), ctx);
+            const std::vector<std::size_t> batch_labels(labels.begin() + start,
+                                                        labels.begin() + start + count);
+            hits += nn::topk_accuracy(logits, batch_labels, 1) * static_cast<double>(count);
+            ctx.rewind(cp);
+        }
+        EXPECT_DOUBLE_EQ(got[p], hits / static_cast<double>(n)) << "pass " << p;
     }
 }
 
@@ -439,13 +462,11 @@ TEST(PlanIdentityTest, CompileRejectsTrainingModeAndBadBatch) {
 
 // ----- serve-level compiled replicas -----
 
-std::vector<std::vector<float>> serve_logits(models::ResNet& primary, const Tensor& images,
-                                             serve::CompileMode mode) {
+std::vector<std::vector<float>> serve_logits(models::ResNet& primary, const Tensor& images) {
     serve::ServerOptions sopts;
     sopts.instances = 1;
     sopts.max_batch = 4;
     sopts.max_delay_us = 0;
-    sopts.compile_mode = mode;
     serve::InferenceServer server(
         primary, Shape{images.dim(1), images.dim(2), images.dim(3)}, sopts);
     const std::size_t image = images.dim(1) * images.dim(2) * images.dim(3);
@@ -461,8 +482,8 @@ std::vector<std::vector<float>> serve_logits(models::ResNet& primary, const Tens
 }
 
 TEST(PlanIdentityTest, ServeCompiledReplicaBitIdentical) {
-    // Deterministic configuration (no AMS noise): CompileMode::kOn and
-    // kOff replicas must serve bit-identical logits per image.
+    // Deterministic configuration (no AMS noise): the compiled replicas
+    // must serve logits bit-identical to the oracle, per image.
     models::LayerCommon common;
     common.bits_w = 8;
     common.bits_x = 8;  // quantized but noise-free => schedule-invariant
@@ -473,31 +494,24 @@ TEST(PlanIdentityTest, ServeCompiledReplicaBitIdentical) {
     Tensor images(Shape{8, 3, 8, 8});
     images.fill_uniform(rng, -1.0f, 1.0f);
 
-    // Serve's compile path reads AMSNET_GEMM_INT; the integer realization
-    // is toleranced, so pin it off for this bit-identity check.
-    const char* saved_gemm_int = ::getenv("AMSNET_GEMM_INT");
-    const std::string saved_gemm_int_value = saved_gemm_int ? saved_gemm_int : "";
-    ::setenv("AMSNET_GEMM_INT", "off", 1);
-    const auto walked = serve_logits(primary, images, serve::CompileMode::kOff);
-    const auto compiled = serve_logits(primary, images, serve::CompileMode::kOn);
-    if (saved_gemm_int) {
-        ::setenv("AMSNET_GEMM_INT", saved_gemm_int_value.c_str(), 1);
-    } else {
-        ::unsetenv("AMSNET_GEMM_INT");
+    const Tensor reference = primary.forward(images);
+    std::vector<std::vector<float>> served;
+    {
+        GemmIntOffGuard gemm_int_off;
+        served = serve_logits(primary, images);
     }
-    ASSERT_EQ(walked.size(), compiled.size());
-    for (std::size_t i = 0; i < walked.size(); ++i) {
-        ASSERT_EQ(walked[i].size(), compiled[i].size());
-        EXPECT_EQ(std::memcmp(walked[i].data(), compiled[i].data(),
-                              walked[i].size() * sizeof(float)),
+    ASSERT_EQ(served.size(), images.dim(0));
+    const std::size_t classes = reference.dim(1);
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        ASSERT_EQ(served[i].size(), classes);
+        EXPECT_EQ(std::memcmp(served[i].data(), reference.data() + i * classes,
+                              classes * sizeof(float)),
                   0)
             << "image " << i;
     }
 }
 
-/// A module the compiler cannot lower: deterministic per-image row sums
-/// as two logits. kOn must refuse it at construction; kAuto must serve
-/// it through the module walk.
+/// A module the compiler cannot lower: per-image row sums as two logits.
 class OpaqueModule : public nn::Module {
 public:
     Tensor forward(const Tensor& input) override {
@@ -513,29 +527,20 @@ public:
         }
         return out;
     }
-    Shape plan(const Shape& in, runtime::EvalContext&) override { return Shape{in.dim(0), 2}; }
     Tensor backward(const Tensor&) override { throw std::logic_error("eval only"); }
     [[nodiscard]] std::string name() const override { return "OpaqueModule"; }
 };
 
-TEST(PlanIdentityTest, ServeCompileOnRejectsUnsupportedGraph) {
+TEST(PlanIdentityTest, ServeRejectsUnsupportedGraph) {
+    // The plan is the only inference path: a graph the compiler cannot
+    // lower is a construction error, never a silent fallback.
     serve::ServerOptions sopts;
     sopts.instances = 1;
-    sopts.compile_mode = serve::CompileMode::kOn;
     auto factory = [](std::size_t) -> std::unique_ptr<nn::Module> {
         return std::make_unique<OpaqueModule>();
     };
     EXPECT_THROW(serve::InferenceServer(factory, Shape{3, 4, 4}, sopts),
                  compile::CompileError);
-
-    // kAuto degrades gracefully: same graph, module-walk service.
-    sopts.compile_mode = serve::CompileMode::kAuto;
-    serve::InferenceServer server(factory, Shape{3, 4, 4}, sopts);
-    std::vector<float> image(3 * 4 * 4, 0.25f);
-    auto result = server.submit(image.data()).get();
-    ASSERT_EQ(result.logits.size(), 2u);
-    EXPECT_FLOAT_EQ(result.logits[0], 0.25f * 48.0f);
-    EXPECT_FLOAT_EQ(result.logits[1], -0.25f * 48.0f);
 }
 
 }  // namespace

@@ -145,7 +145,6 @@ std::vector<float> run_plan(nn::Sequential& model, const Tensor& x, GemmIntMode 
     compile::CompileOptions copts;
     copts.gemm_int = mode;
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
     compile::ExecutionPlan plan = compile::compile(model, x.shape(), copts);
     const Tensor out = plan.run(x, ctx);
     return std::vector<float>(out.data(), out.data() + out.size());
@@ -314,8 +313,8 @@ TEST(RequantPlanTest, IntPathCountsGemmIntCallsAndRequantOps) {
 }
 
 TEST(RequantPlanTest, EvaluatePathHonorsGemmIntEnv) {
-    // AMSNET_COMPILE=on + AMSNET_GEMM_INT=int8 must route the quantized
-    // ResNet's eligible convs through the integer path.
+    // AMSNET_GEMM_INT=int8 must route the quantized ResNet's eligible
+    // convs through the integer path.
     data::DatasetOptions dopts;
     dopts.classes = 4;
     dopts.train_per_class = 2;
@@ -330,7 +329,6 @@ TEST(RequantPlanTest, EvaluatePathHonorsGemmIntEnv) {
 
     const char* saved = ::getenv("AMSNET_GEMM_INT");
     const std::string saved_value = saved ? saved : "";
-    ::setenv("AMSNET_COMPILE", "on", 1);
     ::setenv("AMSNET_GEMM_INT", "int8", 1);
     metrics::set_level(metrics::Level::kCounters);
     metrics::reset();
@@ -339,7 +337,6 @@ TEST(RequantPlanTest, EvaluatePathHonorsGemmIntEnv) {
     EXPECT_GT(metrics::value(metrics::Counter::kRequantOps), 0u);
     metrics::reset();
     metrics::set_level(metrics::Level::kOff);
-    ::unsetenv("AMSNET_COMPILE");
     if (saved) {
         ::setenv("AMSNET_GEMM_INT", saved_value.c_str(), 1);
     } else {

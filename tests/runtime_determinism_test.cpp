@@ -11,6 +11,7 @@
 
 #include "ams/error_injector.hpp"
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "data/synthetic_imagenet.hpp"
 #include "models/resnet.hpp"
 #include "nn/conv2d.hpp"
@@ -136,7 +137,8 @@ TEST(RuntimeDeterminismTest, VmacConvForwardBitIdenticalAcrossThreadCounts) {
         cfg.nmult = 8;
         cfg.bits_w = 16;
         cfg.bits_x = 16;
-        vmac::VmacConv2d vconv(w, 1, 1, cfg, {}, vmac::VmacConvMode::kBitExact, Rng(12));
+        vmac::VmacConv2d vconv(w, 1, 1, cfg, {},
+                               vmac::BackendOptions{vmac::BackendKind::kBitExact}, Rng(12));
         Tensor x(Shape{3, 3, 6, 6});  // 12 (image, out-channel) tiles
         x.fill_uniform(rng, 0.0f, 1.0f);
         return vconv.forward(x);
@@ -145,8 +147,8 @@ TEST(RuntimeDeterminismTest, VmacConvForwardBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(RuntimeDeterminismTest, ArenaPathMatchesLegacyAllocatingPath) {
-    // The no-numerics-change guarantee of the memory-planning refactor:
-    // plan + arena forward must be bit-identical to the legacy allocating
+    // The no-numerics-change guarantee of memory planning: the compiled
+    // plan's arena forward must be bit-identical to the allocating eval
     // forward, at any thread count. Fresh model per run: the injectors
     // advance a per-forward noise epoch, so reuse would shift streams.
     models::LayerCommon common;
@@ -172,8 +174,8 @@ TEST(RuntimeDeterminismTest, ArenaPathMatchesLegacyAllocatingPath) {
         model.set_training(false);
         const Tensor x = make_input();
         runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
-        const Tensor out = model.forward(x, ctx);
+        compile::ExecutionPlan plan = compile::compile(model, x.shape());
+        const Tensor out = plan.run(x, ctx);
         return Tensor(out);  // deep copy out of the arena before ctx dies
     };
 

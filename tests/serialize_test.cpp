@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <sstream>
 
+#include "scratch_dir.hpp"
+
 namespace ams {
 namespace {
 
@@ -72,7 +74,7 @@ TEST(SerializeTest, EmptyMapRoundTrip) {
 
 TEST(SerializeTest, FileRoundTrip) {
     const std::string path =
-        (std::filesystem::temp_directory_path() / "amsnet_serialize_test.bin").string();
+        testutil::scratch_dir("amsnet_serialize_test").string() + ".bin";
     TensorMap map;
     map["x"] = Tensor(Shape{2, 2}, 9.0f);
     save_tensor_map_file(path, map);

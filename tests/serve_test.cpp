@@ -27,9 +27,9 @@ namespace ams::serve {
 namespace {
 
 // Serve's replica compiles read AMSNET_GEMM_INT, and every test here
-// checks bit-identity against the fp32 module walk — pin the toleranced
-// integer realization off for the whole binary (the CI int8 shard
-// exports AMSNET_GEMM_INT=int8 globally).
+// checks bit-identity against the fp32 allocating forward — pin the
+// toleranced integer realization off for the whole binary (the CI int8
+// shard exports AMSNET_GEMM_INT=int8 globally).
 const bool kPinGemmIntOff = [] {
     ::setenv("AMSNET_GEMM_INT", "off", 1);
     return true;
@@ -56,12 +56,11 @@ Shape chw_of(const Tensor& images) {
     return Shape{images.dim(1), images.dim(2), images.dim(3)};
 }
 
-/// The offline reference: the same batch -> logits path train::evaluate
-/// uses, one whole-set batch on the primary.
+/// The offline reference: the eval-mode allocating forward
+/// (train::forward_batch), one whole-set batch on the primary.
 Tensor evaluate_logits(nn::Module& model, const Tensor& images) {
     model.set_training(false);
     runtime::EvalContext ctx;
-    (void)model.plan(images.shape(), ctx);
     const Tensor batch = train::slice_batch(images, 0, images.dim(0), ctx);
     Tensor logits = train::forward_batch(model, batch, ctx);
     Tensor owned(logits.shape());

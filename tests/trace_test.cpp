@@ -19,6 +19,7 @@
 
 #include "ams/vmac_backend.hpp"
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "core/experiment.hpp"
 #include "models/resnet.hpp"
 #include "runtime/eval_context.hpp"
@@ -26,6 +27,7 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
@@ -420,17 +422,17 @@ TEST(TraceTest, CountersModeInferenceIsAllocationFree) {
     x.fill_uniform(rng, -1.0f, 1.0f);
 
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
+    compile::ExecutionPlan plan = compile::compile(model, x.shape());
     for (int i = 0; i < 2; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        (void)model.forward(x, ctx);
+        (void)plan.run(x, ctx);
         ctx.rewind(cp);
     }
 
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 3; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        Tensor out = model.forward(x, ctx);
+        Tensor out = plan.run(x, ctx);
         ctx.rewind(cp);
     }
     const std::size_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
@@ -445,7 +447,7 @@ TEST(TraceTest, FourThreadSweepChromeTraceExports) {
     // End-to-end: a 4-thread ams_enob_sweep under full tracing exports a
     // chrome://tracing-loadable file with the sweep's phase spans on it.
     namespace fs = std::filesystem;
-    const std::string dir = (fs::temp_directory_path() / "amsnet_trace_sweep").string();
+    const std::string dir = testutil::scratch_dir("amsnet_trace_sweep").string();
     fs::remove_all(dir);
 
     core::ExperimentOptions o;

@@ -110,7 +110,7 @@ TEST(VmacConvBackendTest, BitExactBackendReproducesPreRefactorEngine) {
     const std::vector<float> ref_bits(reference.data(), reference.data() + reference.size());
 
     auto run = [&] {
-        VmacConv2d vconv(w, 1, 1, c, {}, VmacConvMode::kBitExact, Rng(12));
+        VmacConv2d vconv(w, 1, 1, c, {}, BackendOptions{BackendKind::kBitExact}, Rng(12));
         return vconv.forward(x);
     };
     expect_bit_identical(ref_bits, with_threads(1, run));
@@ -130,7 +130,7 @@ TEST(VmacConvBackendTest, PerVmacNoiseBackendReproducesPreRefactorEngine) {
     const std::vector<float> ref_bits(reference.data(), reference.data() + reference.size());
 
     auto run = [&] {
-        VmacConv2d vconv(w, 1, 1, c, {}, VmacConvMode::kPerVmacNoise, Rng(14));
+        VmacConv2d vconv(w, 1, 1, c, {}, BackendOptions{BackendKind::kPerVmacNoise}, Rng(14));
         return vconv.forward(x);
     };
     expect_bit_identical(ref_bits, with_threads(1, run));
@@ -150,7 +150,7 @@ TEST(VmacConvBackendTest, DeltaSigmaConvErrorTelescopesToFinalConversion) {
 
     // Operand-quantized exact reference: same codecs, ENOB high enough
     // that conversion error is negligible at this scale.
-    VmacConv2d exact_conv(w, 1, 1, cfg(26.0), {}, VmacConvMode::kBitExact, Rng(18));
+    VmacConv2d exact_conv(w, 1, 1, cfg(26.0), {}, BackendOptions{BackendKind::kBitExact}, Rng(18));
     const Tensor exact = exact_conv.forward(x);
 
     BackendOptions ds;
@@ -159,7 +159,7 @@ TEST(VmacConvBackendTest, DeltaSigmaConvErrorTelescopesToFinalConversion) {
     VmacConv2d ds_conv(w, 1, 1, coarse, {}, ds, Rng(19));
     const Tensor ds_out = ds_conv.forward(x);
 
-    VmacConv2d plain_conv(w, 1, 1, coarse, {}, VmacConvMode::kBitExact, Rng(19));
+    VmacConv2d plain_conv(w, 1, 1, coarse, {}, BackendOptions{BackendKind::kBitExact}, Rng(19));
     const Tensor plain_out = plain_conv.forward(x);
 
     const double final_lsb = 2.0 * 8.0 * std::exp2(-14.0);
@@ -193,14 +193,13 @@ TEST(VmacConvBackendTest, AllBackendsRunThroughTheSameEngine) {
             ASSERT_TRUE(std::isfinite(out[i])) << backend_kind_name(kind);
         }
 
-        // The planned arena path must match the allocating path for every
+        // The compiled-plan hook must match the allocating path for every
         // backend (same streams, same staging arithmetic).
-        VmacConv2d arena_path(w, 1, 1, c, {}, opts, Rng(24));
+        VmacConv2d planned_path(w, 1, 1, c, {}, opts, Rng(24));
         runtime::EvalContext ctx;
-        (void)arena_path.plan(x.shape(), ctx);
-        const Tensor arena_out = arena_path.forward(x, ctx);
-        ASSERT_EQ(arena_out.size(), out.size());
-        EXPECT_EQ(std::memcmp(arena_out.data(), out.data(), out.size() * sizeof(float)), 0)
+        std::vector<float> planned_out(out.size());
+        planned_path.forward_planned(x.data(), x.shape(), planned_out.data(), ctx);
+        EXPECT_EQ(std::memcmp(planned_out.data(), out.data(), out.size() * sizeof(float)), 0)
             << backend_kind_name(kind);
     }
 }

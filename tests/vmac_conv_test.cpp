@@ -28,7 +28,7 @@ Tensor random_weight(std::size_t cout, std::size_t cin, std::size_t k, Rng& rng)
 TEST(VmacConvTest, HighEnobMatchesExactConvolution) {
     Rng rng(1);
     Tensor w = random_weight(3, 2, 3, rng);
-    VmacConv2d vconv(w, 1, 1, cfg(22.0), {}, VmacConvMode::kBitExact, Rng(2));
+    VmacConv2d vconv(w, 1, 1, cfg(22.0), {}, BackendOptions{BackendKind::kBitExact}, Rng(2));
 
     nn::Conv2dOptions opts{2, 3, 3, 1, 1, false};
     nn::Conv2d ref(opts, rng);
@@ -46,7 +46,7 @@ TEST(VmacConvTest, ErrorVarianceTracksEquationTwo) {
     Rng rng(3);
     Tensor w = random_weight(4, 8, 3, rng);  // n_tot = 72
     const VmacConfig c = cfg(8.0);
-    VmacConv2d vconv(w, 1, 1, c, {}, VmacConvMode::kBitExact, Rng(4));
+    VmacConv2d vconv(w, 1, 1, c, {}, BackendOptions{BackendKind::kBitExact}, Rng(4));
 
     nn::Conv2dOptions opts{8, 4, 3, 1, 1, false};
     nn::Conv2d ref(opts, rng);
@@ -64,7 +64,7 @@ TEST(VmacConvTest, PerVmacNoiseModeAlsoTracksModel) {
     Rng rng(5);
     Tensor w = random_weight(4, 8, 3, rng);
     const VmacConfig c = cfg(8.0);
-    VmacConv2d vconv(w, 1, 1, c, {}, VmacConvMode::kPerVmacNoise, Rng(6));
+    VmacConv2d vconv(w, 1, 1, c, {}, BackendOptions{BackendKind::kPerVmacNoise}, Rng(6));
 
     nn::Conv2dOptions opts{8, 4, 3, 1, 1, false};
     nn::Conv2d ref(opts, rng);
@@ -79,7 +79,7 @@ TEST(VmacConvTest, PerVmacNoiseModeAlsoTracksModel) {
 TEST(VmacConvTest, StridedGeometryMatchesPlainConv) {
     Rng rng(7);
     Tensor w = random_weight(2, 3, 3, rng);
-    VmacConv2d vconv(w, 2, 1, cfg(22.0), {}, VmacConvMode::kBitExact, Rng(8));
+    VmacConv2d vconv(w, 2, 1, cfg(22.0), {}, BackendOptions{BackendKind::kBitExact}, Rng(8));
     nn::Conv2dOptions opts{3, 2, 3, 2, 1, false};
     nn::Conv2d ref(opts, rng);
     ref.set_effective_weight(w);
@@ -94,7 +94,7 @@ TEST(VmacConvTest, StridedGeometryMatchesPlainConv) {
 TEST(VmacConvTest, EvaluationOnly) {
     Rng rng(9);
     Tensor w = random_weight(1, 1, 1, rng);
-    VmacConv2d vconv(w, 1, 0, cfg(10.0), {}, VmacConvMode::kBitExact, Rng(10));
+    VmacConv2d vconv(w, 1, 0, cfg(10.0), {}, BackendOptions{BackendKind::kBitExact}, Rng(10));
     Tensor g(Shape{1, 1, 2, 2});
     EXPECT_THROW((void)vconv.backward(g), std::logic_error);
 }
@@ -102,13 +102,13 @@ TEST(VmacConvTest, EvaluationOnly) {
 TEST(VmacConvTest, ValidatesConstructionAndInput) {
     Rng rng(11);
     Tensor bad_rank(Shape{2, 3, 3});
-    EXPECT_THROW(VmacConv2d(bad_rank, 1, 1, cfg(10.0), {}, VmacConvMode::kBitExact, Rng(1)),
+    const BackendOptions exact{BackendKind::kBitExact};
+    EXPECT_THROW(VmacConv2d(bad_rank, 1, 1, cfg(10.0), {}, exact, Rng(1)),
                  std::invalid_argument);
     Tensor rect(Shape{1, 1, 3, 5});
-    EXPECT_THROW(VmacConv2d(rect, 1, 1, cfg(10.0), {}, VmacConvMode::kBitExact, Rng(1)),
-                 std::invalid_argument);
+    EXPECT_THROW(VmacConv2d(rect, 1, 1, cfg(10.0), {}, exact, Rng(1)), std::invalid_argument);
     Tensor w = random_weight(1, 2, 3, rng);
-    VmacConv2d vconv(w, 1, 1, cfg(10.0), {}, VmacConvMode::kBitExact, Rng(1));
+    VmacConv2d vconv(w, 1, 1, cfg(10.0), {}, BackendOptions{BackendKind::kBitExact}, Rng(1));
     Tensor wrong_channels(Shape{1, 3, 6, 6});
     EXPECT_THROW((void)vconv.forward(wrong_channels), std::invalid_argument);
 }
@@ -116,7 +116,7 @@ TEST(VmacConvTest, ValidatesConstructionAndInput) {
 TEST(VmacConvTest, NTotFromWeightShape) {
     Rng rng(12);
     Tensor w = random_weight(5, 8, 3, rng);
-    VmacConv2d vconv(w, 1, 1, cfg(10.0), {}, VmacConvMode::kBitExact, Rng(1));
+    VmacConv2d vconv(w, 1, 1, cfg(10.0), {}, BackendOptions{BackendKind::kBitExact}, Rng(1));
     EXPECT_EQ(vconv.n_tot(), 72u);
 }
 
