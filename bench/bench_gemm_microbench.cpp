@@ -4,7 +4,7 @@
 // images/s comparison on the quantized+AMS tiny ResNet.
 //
 // The integer numeric domain (DESIGN.md §14) rides the same harness:
-// GOP/s of the packed int8/int16 code kernels per arm, and the headline
+// GOP/s of the packed int8 code kernel per arm, and the headline
 // acceptance figure — end-to-end quantized eval images/s of the int8
 // ExecutionPlan vs the fp32 fused plan on the mini ResNet, which must
 // reach >= 1.5x for the bench to exit 0 (CI gates on the exit code;
@@ -70,15 +70,13 @@ struct GemmRow {
     double avx2_gflops = 0.0;
 };
 
-/// Per-shape GOP/s of the packed integer code kernels (gemm_s8u8 /
-/// gemm_s16), per arm. One "op" is one code multiply-add, so the figures
-/// are directly comparable with the fp32 GFLOP/s rows above.
+/// Per-shape GOP/s of the packed integer code kernel (gemm_s8u8), per
+/// arm. One "op" is one code multiply-add, so the figures are directly
+/// comparable with the fp32 GFLOP/s rows above.
 struct IntGemmRow {
     GemmShape shape;
     double s8u8_scalar_gops = 0.0;
     double s8u8_avx2_gops = 0.0;
-    double s16_scalar_gops = 0.0;
-    double s16_avx2_gops = 0.0;
 };
 
 double gflops(const GemmShape& s, double seconds) {
@@ -92,7 +90,6 @@ double gflops(const GemmShape& s, double seconds) {
 struct PlanEval {
     double fp32_ips = 0.0;
     double int8_ips = 0.0;
-    double int16_ips = 0.0;
 };
 
 PlanEval measure_plan_eval(bool quick) {
@@ -150,7 +147,6 @@ PlanEval measure_plan_eval(bool quick) {
     PlanEval out;
     out.fp32_ips = ips_for(GemmIntMode::kOff);
     out.int8_ips = ips_for(GemmIntMode::kInt8);
-    out.int16_ips = ips_for(GemmIntMode::kInt16);
     return out;
 }
 
@@ -230,36 +226,23 @@ int main() {
     for (const GemmShape& s : kShapes) {
         std::vector<std::int8_t> a8(s.m * s.k);
         std::vector<std::uint8_t> b8(s.k * s.n);
-        std::vector<std::int16_t> a16(s.m * s.k);
-        std::vector<std::int16_t> b16(s.k * s.n);
         std::vector<std::int32_t> c32(s.m * s.n);
-        for (std::size_t i = 0; i < a8.size(); ++i) {
-            a8[i] = static_cast<std::int8_t>(static_cast<int>(rng.next_u64() % 255) - 127);
-            a16[i] = a8[i];
+        for (auto& v : a8) {
+            v = static_cast<std::int8_t>(static_cast<int>(rng.next_u64() % 255) - 127);
         }
-        for (std::size_t i = 0; i < b8.size(); ++i) {
-            b8[i] = static_cast<std::uint8_t>(rng.next_u64() % 128);
-            b16[i] = b8[i];
-        }
+        for (auto& v : b8) v = static_cast<std::uint8_t>(rng.next_u64() % 128);
         const int reps = quick ? 3 : (s.m * s.k * s.n > (1u << 24) ? 5 : 20);
 
-        IntGemmRow row{s, 0.0, 0.0, 0.0, 0.0};
+        IntGemmRow row{s, 0.0, 0.0};
         simd::set_level(simd::Level::kScalar);
         row.s8u8_scalar_gops = gflops(
             s, seconds_of([&] { gemm_s8u8(a8.data(), b8.data(), c32.data(), s.m, s.k, s.n); },
-                          reps));
-        row.s16_scalar_gops = gflops(
-            s, seconds_of([&] { gemm_s16(a16.data(), b16.data(), c32.data(), s.m, s.k, s.n); },
                           reps));
         if (has_avx2) {
             simd::set_level(simd::Level::kAvx2);
             row.s8u8_avx2_gops = gflops(
                 s,
                 seconds_of([&] { gemm_s8u8(a8.data(), b8.data(), c32.data(), s.m, s.k, s.n); },
-                           reps));
-            row.s16_avx2_gops = gflops(
-                s,
-                seconds_of([&] { gemm_s16(a16.data(), b16.data(), c32.data(), s.m, s.k, s.n); },
                            reps));
         }
         int_rows.push_back(row);
@@ -277,13 +260,10 @@ int main() {
     simd::set_level(simd::detect_level());
 
     // Headline acceptance figure: end-to-end eval images/s of the int8
-    // compiled plan vs the fp32 fused plan on the default arm (the int16
-    // row rides along for reference). Gated below.
+    // compiled plan vs the fp32 fused plan on the default arm. Gated below.
     const PlanEval plan_eval = measure_plan_eval(quick);
     const double int8_vs_fp32 =
         plan_eval.fp32_ips > 0.0 ? plan_eval.int8_ips / plan_eval.fp32_ips : 0.0;
-    const double int16_vs_fp32 =
-        plan_eval.fp32_ips > 0.0 ? plan_eval.int16_ips / plan_eval.fp32_ips : 0.0;
 
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 
@@ -302,16 +282,13 @@ int main() {
     table.print(std::cout);
 
     std::cout << "\n";
-    core::Table int_table({"int GEMM (m x k x n)", "s8u8 scalar", "s8u8 avx2", "s16 scalar",
-                           "s16 avx2"});
+    core::Table int_table({"int GEMM (m x k x n)", "s8u8 scalar", "s8u8 avx2"});
     for (const IntGemmRow& r : int_rows) {
         const std::string dims = std::to_string(r.shape.m) + " x " + std::to_string(r.shape.k) +
                                  " x " + std::to_string(r.shape.n);
         int_table.add_row({r.shape.tag + (" (" + dims + ")"),
                            core::fmt_fixed(r.s8u8_scalar_gops, 2),
-                           has_avx2 ? core::fmt_fixed(r.s8u8_avx2_gops, 2) : "-",
-                           core::fmt_fixed(r.s16_scalar_gops, 2),
-                           has_avx2 ? core::fmt_fixed(r.s16_avx2_gops, 2) : "-"});
+                           has_avx2 ? core::fmt_fixed(r.s8u8_avx2_gops, 2) : "-"});
     }
     int_table.print(std::cout);
     std::cout << "(GOP/s; one op = one code multiply-add, comparable with the "
@@ -322,8 +299,6 @@ int main() {
     plan_table.add_row({"fp32 fused", core::fmt_fixed(plan_eval.fp32_ips, 1), "1.00x"});
     plan_table.add_row({"int8", core::fmt_fixed(plan_eval.int8_ips, 1),
                         core::fmt_fixed(int8_vs_fp32, 2) + "x"});
-    plan_table.add_row({"int16", core::fmt_fixed(plan_eval.int16_ips, 1),
-                        core::fmt_fixed(int16_vs_fp32, 2) + "x"});
     plan_table.print(std::cout);
 
     core::BenchReport report("gemm");
@@ -350,8 +325,6 @@ int main() {
         row.set("n", r.shape.n);
         row.set("s8u8_scalar_gops", r.s8u8_scalar_gops);
         row.set("s8u8_avx2_gops", r.s8u8_avx2_gops);
-        row.set("s16_scalar_gops", r.s16_scalar_gops);
-        row.set("s16_avx2_gops", r.s16_avx2_gops);
     }
     core::BenchFields& eval_row = report.add_row();
     eval_row.set("kind", "evaluate_top1");
@@ -362,9 +335,7 @@ int main() {
     plan_row.set("kind", "plan_eval");
     plan_row.set("fp32_images_per_s", plan_eval.fp32_ips);
     plan_row.set("int8_images_per_s", plan_eval.int8_ips);
-    plan_row.set("int16_images_per_s", plan_eval.int16_ips);
     plan_row.set("int8_vs_fp32", int8_vs_fp32);
-    plan_row.set("int16_vs_fp32", int16_vs_fp32);
     report.config().set("quick", quick);
     report.config().set("int8_vs_fp32_target", 1.5);
     report.capture_runtime_metrics();

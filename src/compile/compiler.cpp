@@ -63,27 +63,13 @@ const char* ew_name(EwOp::Kind kind) {
     return "?";
 }
 
-/// Integer-mode eligibility for one conv GEMM (DESIGN.md §14). int8
-/// requires unsigned activation codes (vpmaddubsw takes one unsigned
-/// operand) and both code magnitudes <= 127; int16 takes either
-/// signedness up to 32767. Both require the int32 accumulator bound
-/// over the patch depth.
-NumericMode resolve_numeric(GemmIntMode mode, std::size_t w_levels,
-                            const quant::QuantGrid& act, std::size_t patch) {
-    const bool acc_ok = int_accumulator_safe(w_levels, act.levels, patch);
-    const bool int8_ok =
-        acc_ok && !act.is_signed && w_levels <= 127 && act.levels <= 127;
-    const bool int16_ok = acc_ok && w_levels <= 32767 && act.levels <= 32767;
-    switch (mode) {
-        case GemmIntMode::kInt8: return int8_ok ? NumericMode::kInt8 : NumericMode::kFp32;
-        case GemmIntMode::kInt16:
-            return int16_ok ? NumericMode::kInt16 : NumericMode::kFp32;
-        case GemmIntMode::kAuto:
-            if (int8_ok) return NumericMode::kInt8;
-            return int16_ok ? NumericMode::kInt16 : NumericMode::kFp32;
-        case GemmIntMode::kOff: break;
-    }
-    return NumericMode::kFp32;
+/// Integer-mode eligibility for one conv GEMM (DESIGN.md §14): unsigned
+/// activation codes (vpmaddubsw takes one unsigned operand), both code
+/// magnitudes <= 127, and the int32 accumulator bound over the patch
+/// depth.
+bool int8_eligible(std::size_t w_levels, const quant::QuantGrid& act, std::size_t patch) {
+    return !act.is_signed && w_levels <= 127 && act.levels <= 127 &&
+           int_accumulator_safe(w_levels, act.levels, patch);
 }
 
 const char* step_name(StepKind kind) {
@@ -345,28 +331,20 @@ private:
         if (bits_w < quant::kFloatBits) {
             s.weight = own_quantized(latent, bits_w);
             // Integer numeric domain: eligible when this conv's input is
-            // known to sit on a quantization grid that fits the requested
-            // code width. The codes are encoded once here, from the same
-            // owned quantized-float weights the fp32 path multiplies.
-            if (p_.options.gemm_int != GemmIntMode::kOff) {
-                if (const quant::QuantGrid* in_grid = grid_of(cur_)) {
-                    const std::size_t w_levels = quant::magnitude_levels(bits_w);
-                    const NumericMode numeric = resolve_numeric(
-                        p_.options.gemm_int, w_levels, *in_grid, low.patch_size());
-                    if (numeric != NumericMode::kFp32) {
-                        p_.owned_codes.emplace_back(
-                            p_.owned.back().data(), latent.size(),
-                            quant::QuantGrid{w_levels, /*is_signed=*/true},
-                            /*force_wide=*/numeric == NumericMode::kInt16);
-                        const quant::QuantizedView wv = p_.owned_codes.back().view();
-                        s.numeric = numeric;
-                        s.weight_i8 = wv.i8;
-                        s.weight_i16 = wv.i16;
-                        s.act_levels = in_grid->levels;
-                        s.act_signed = in_grid->is_signed;
-                        s.dequant = 1.0f / (static_cast<float>(w_levels) *
-                                            static_cast<float>(in_grid->levels));
-                    }
+            // known to sit on an unsigned grid that fits 8-bit codes. The
+            // codes are encoded once here, from the same owned
+            // quantized-float weights the fp32 path multiplies.
+            if (p_.options.gemm_int == GemmIntMode::kInt8) {
+                const quant::QuantGrid* in_grid = grid_of(cur_);
+                const std::size_t w_levels = quant::magnitude_levels(bits_w);
+                if (in_grid != nullptr && int8_eligible(w_levels, *in_grid, low.patch_size())) {
+                    p_.owned_codes.emplace_back(p_.owned.back().data(), latent.size(),
+                                                quant::QuantGrid{w_levels, /*is_signed=*/true});
+                    s.numeric = NumericMode::kInt8;
+                    s.weight_i8 = p_.owned_codes.back().view().i8;
+                    s.act_levels = in_grid->levels;
+                    s.dequant = 1.0f / (static_cast<float>(w_levels) *
+                                        static_cast<float>(in_grid->levels));
                 }
             }
         } else if (fold_weight != nullptr) {
@@ -674,7 +652,6 @@ void dump_tail(std::ostream& os, const std::vector<EwOp>& tail) {
 const char* numeric_mode_name(NumericMode mode) {
     switch (mode) {
         case NumericMode::kInt8: return "int8";
-        case NumericMode::kInt16: return "int16";
         case NumericMode::kFp32: break;
     }
     return "fp32";

@@ -228,8 +228,8 @@ TailSplit split_tail_int(const Step& step) {
 /// base + 3 the code columns — mirroring the fp32 layout.
 constexpr int kIntSlotBase = 1 << 20;
 
-/// Integer realization of one kConv step: encode the input value to grid
-/// codes once, then per image run code-typed im2col, the packed integer
+/// Integer realization of one kConv step: encode the input value to uint8
+/// grid codes once, then per image run code-typed im2col, the packed int8
 /// GEMM into an i32 accumulator, and a fused epilogue that requantizes
 /// (one multiply per output) and applies the in-loop tail prefix.
 void run_conv_int(const Step& step, const float* in, float* out, std::size_t batch,
@@ -240,27 +240,16 @@ void run_conv_int(const Step& step, const float* in, float* out, std::size_t bat
     const std::size_t out_spatial = low.out_spatial();
     const std::size_t out_image = step.out_channels * out_spatial;
     const std::size_t image = low.image_floats();
-    const bool is8 = step.numeric == NumericMode::kInt8;
-    const std::size_t code_bytes = is8 ? 1 : 2;
 
     // Encode the whole input value once per run. Element-wise and
     // chunk-independent, so the batch parallelism is free of ordering
     // effects.
     const std::size_t n_in = batch * image;
-    float* codes_f = ctx.reserve_scratch(step.scratch_owner, kIntSlotBase - 1,
-                                         (n_in * code_bytes + 3) / 4);
+    auto* codes = reinterpret_cast<std::uint8_t*>(
+        ctx.reserve_scratch(step.scratch_owner, kIntSlotBase - 1, (n_in + 3) / 4));
     runtime::parallel_for(
         0, n_in, runtime::suggest_grain(n_in, 4096), [&](std::size_t i0, std::size_t i1) {
-            if (is8) {
-                quant::encode_unit_u8(in + i0, i1 - i0, step.act_levels,
-                                      reinterpret_cast<std::uint8_t*>(codes_f) + i0);
-            } else if (step.act_signed) {
-                quant::encode_signed_i16(in + i0, i1 - i0, step.act_levels,
-                                         reinterpret_cast<std::int16_t*>(codes_f) + i0);
-            } else {
-                quant::encode_unit_u16(in + i0, i1 - i0, step.act_levels,
-                                       reinterpret_cast<std::int16_t*>(codes_f) + i0);
-            }
+            quant::encode_unit_u8(in + i0, i1 - i0, step.act_levels, codes + i0);
         });
 
     // Pointwise (1x1, stride 1, no padding) convolutions need no im2col
@@ -275,9 +264,8 @@ void run_conv_int(const Step& step, const float* in, float* out, std::size_t bat
     // conv_eval_run with the integer slot namespace.
     const std::size_t grain = runtime::suggest_grain(batch, 1);
     const std::size_t n_chunks = (batch + grain - 1) / grain;
-    const std::size_t col_floats = (patch * out_spatial * code_bytes + 3) / 4;
-    const std::size_t panel_floats = is8 ? packed_b_i8_floats(patch, out_spatial)
-                                         : packed_b_i16_floats(patch, out_spatial);
+    const std::size_t col_floats = (patch * out_spatial + 3) / 4;
+    const std::size_t panel_floats = packed_b_i8_floats(patch, out_spatial);
     for (std::size_t c = 0; c < n_chunks; ++c) {
         const int base = kIntSlotBase + static_cast<int>(4 * c);
         if (!pointwise) (void)ctx.reserve_scratch(step.scratch_owner, base + 3, col_floats);
@@ -295,25 +283,12 @@ void run_conv_int(const Step& step, const float* in, float* out, std::size_t bat
         EvalContextPackBuffers pack(ctx, step.scratch_owner, base);
         for (std::size_t b = b_begin; b < b_end; ++b) {
             float* dst = out + b * out_image;
-            if (is8) {
-                const auto* img = reinterpret_cast<const std::uint8_t*>(codes_f) + b * image;
-                const std::uint8_t* cols = img;
-                if (!pointwise) {
-                    im2col_u8(img, geo, reinterpret_cast<std::uint8_t*>(col_f));
-                    cols = reinterpret_cast<const std::uint8_t*>(col_f);
-                }
-                gemm_s8u8(step.weight_i8, cols, acc, step.out_channels, patch, out_spatial,
-                          &pack);
-            } else {
-                const auto* img = reinterpret_cast<const std::int16_t*>(codes_f) + b * image;
-                const std::int16_t* cols = img;
-                if (!pointwise) {
-                    im2col_i16(img, geo, reinterpret_cast<std::int16_t*>(col_f));
-                    cols = reinterpret_cast<const std::int16_t*>(col_f);
-                }
-                gemm_s16(step.weight_i16, cols, acc, step.out_channels, patch, out_spatial,
-                         &pack);
+            const std::uint8_t* cols = codes + b * image;
+            if (!pointwise) {
+                im2col_u8(cols, geo, reinterpret_cast<std::uint8_t*>(col_f));
+                cols = reinterpret_cast<const std::uint8_t*>(col_f);
             }
+            gemm_s8u8(step.weight_i8, cols, acc, step.out_channels, patch, out_spatial, &pack);
             // Fused requantization: the exact int32 dot of codes returns
             // to the value domain with one multiply per output.
             for (std::size_t i = 0; i < out_image; ++i) {

@@ -75,8 +75,8 @@ struct CompileOptions {
     bool fold_bn = false;
     /// Integer numeric domain for eligible conv GEMM steps (DESIGN.md
     /// §14): when a conv's weights and input both live on DoReFa grids
-    /// that fit the requested code width, the step runs as a packed
-    /// int8/int16 GEMM with requantization fused into its epilogue.
+    /// that fit 8-bit codes, the step runs as a packed int8 GEMM with
+    /// requantization fused into its epilogue.
     /// A *toleranced* numeric realization (per-product rounding differs
     /// from fp32), so it is off by default and excluded from the
     /// bit-identity contract. Callers honoring AMSNET_GEMM_INT pass
@@ -85,12 +85,11 @@ struct CompileOptions {
 };
 
 /// Numeric realization of a GEMM step (kConv / kLinear). kFp32 is the
-/// bit-identity path; the integer modes multiply quantization codes
-/// exactly in int32 and dequantize once per output.
+/// bit-identity path; kInt8 multiplies quantization codes exactly in
+/// int32 and dequantizes once per output.
 enum class NumericMode {
     kFp32,
-    kInt8,   ///< int8 weight codes x uint8 activation codes
-    kInt16,  ///< int16 weight codes x int16 activation codes
+    kInt8,  ///< int8 weight codes x uint8 activation codes
 };
 
 [[nodiscard]] const char* numeric_mode_name(NumericMode mode);
@@ -173,11 +172,9 @@ struct Step {
     // activation grid describes the step's *input* value, which the
     // executor re-encodes to codes at run time.
     NumericMode numeric = NumericMode::kFp32;
-    const std::int8_t* weight_i8 = nullptr;    ///< kInt8 weight codes
-    const std::int16_t* weight_i16 = nullptr;  ///< kInt16 weight codes
-    std::size_t act_levels = 0;                ///< input grid levels
-    bool act_signed = false;                   ///< input grid signedness
-    float dequant = 1.0f;                      ///< 1 / (w_levels * act_levels)
+    const std::int8_t* weight_i8 = nullptr;  ///< kInt8 weight codes
+    std::size_t act_levels = 0;              ///< input grid levels (unsigned)
+    float dequant = 1.0f;                    ///< 1 / (w_levels * act_levels)
 
     EwOp ew;                  ///< kElementwise payload
     std::vector<EwOp> tail;   ///< fused epilogue (kConv / kVmacConv / kLinear)

@@ -117,9 +117,8 @@ void add_schedule(train::CacheKey& key, const std::string& prefix,
 }  // namespace
 
 train::CacheKey ExperimentEnv::fp32_cache_key() const {
-    const std::string legacy = base_key() + "_fp32";
     train::CacheKey key;
-    key.label(legacy).legacy(legacy);
+    key.label(base_key() + "_fp32");
     key.add("schema", "amsnet-ckpt-key-v1");
     key.add("arch", "mini_resnet");
     key.add("model_seed", std::uint64_t{42});
@@ -137,10 +136,10 @@ train::CacheKey ExperimentEnv::fp32_cache_key() const {
 
 train::CacheKey ExperimentEnv::quantized_cache_key(std::size_t bits_w,
                                                    std::size_t bits_x) const {
-    std::ostringstream legacy;
-    legacy << base_key() << "_q_w" << bits_w << "_x" << bits_x;
+    std::ostringstream label;
+    label << base_key() << "_q_w" << bits_w << "_x" << bits_x;
     train::CacheKey key;
-    key.label(legacy.str()).legacy(legacy.str());
+    key.label(label.str());
     key.add("schema", "amsnet-ckpt-key-v1");
     key.add("parent", fp32_cache_key().hex());
     key.add("phase", "quant");
@@ -154,14 +153,14 @@ train::CacheKey ExperimentEnv::ams_cache_key(std::size_t bits_w, std::size_t bit
                                              const vmac::VmacConfig& vmac_cfg,
                                              const std::vector<models::LayerGroup>& frozen,
                                              const std::string& key_tag) const {
-    std::ostringstream legacy;
-    legacy << base_key() << "_ams_w" << bits_w << "_x" << bits_x << "_enob" << vmac_cfg.enob
-           << "_nm" << vmac_cfg.nmult;
-    if (!key_tag.empty()) legacy << "_b" << key_tag;
-    for (models::LayerGroup g : frozen) legacy << "_f" << static_cast<int>(g);
+    std::ostringstream label;
+    label << base_key() << "_ams_w" << bits_w << "_x" << bits_x << "_enob" << vmac_cfg.enob
+          << "_nm" << vmac_cfg.nmult;
+    if (!key_tag.empty()) label << "_b" << key_tag;
+    for (models::LayerGroup g : frozen) label << "_f" << static_cast<int>(g);
 
     train::CacheKey key;
-    key.label(legacy.str()).legacy(legacy.str());
+    key.label(label.str());
     key.add("schema", "amsnet-ckpt-key-v1");
     key.add("parent", quantized_cache_key(bits_w, bits_x).hex());
     key.add("phase", "ams");

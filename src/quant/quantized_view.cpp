@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "quant/dorefa.hpp"
 #include "runtime/simd.hpp"
@@ -25,54 +26,33 @@ bool grid_fits_8bit(const QuantGrid& grid) {
     return grid.levels <= (grid.is_signed ? std::size_t{127} : std::size_t{255});
 }
 
-// The three bulk encoders below dispatch through the SIMD layer (the
-// executor encodes whole input tensors per int conv step, so this is a
-// hot loop). Every simd arm realizes exactly clamp(lround(x * n), ..)
-// — see runtime/simd.hpp — so codes stay bit-identical across arms.
-
+// The bulk encoder dispatches through the SIMD layer (the executor
+// encodes whole input tensors per int conv step, so this is a hot loop).
+// Every simd arm realizes exactly clamp(lround(x * n), ..) — see
+// runtime/simd.hpp — so codes stay bit-identical across arms.
 void encode_unit_u8(const float* values, std::size_t n, std::size_t levels, std::uint8_t* out) {
     const float scale = checked_levels(levels, "encode_unit_u8");
     simd::encode_unit_u8(values, out, n, scale);
 }
 
-void encode_signed_i16(const float* values, std::size_t n, std::size_t levels,
-                       std::int16_t* out) {
-    const float scale = checked_levels(levels, "encode_signed_i16");
-    simd::encode_signed_i16(values, out, n, scale);
-}
-
-void encode_unit_u16(const float* values, std::size_t n, std::size_t levels,
-                     std::int16_t* out) {
-    const float scale = checked_levels(levels, "encode_unit_u16");
-    simd::encode_unit_u16(values, out, n, scale);
-}
-
-QuantizedTensor::QuantizedTensor(const float* values, std::size_t n, QuantGrid grid,
-                                 bool force_wide)
+QuantizedTensor::QuantizedTensor(const float* values, std::size_t n, QuantGrid grid)
     : grid_(grid), size_(n) {
     (void)checked_levels(grid.levels, "QuantizedTensor");
-    if (grid.levels > 32767) {
-        throw std::invalid_argument("QuantizedTensor: levels exceed 16-bit code range");
+    if (!grid_fits_8bit(grid_)) {
+        throw std::invalid_argument("QuantizedTensor: grid with " + std::to_string(grid.levels) +
+                                    (grid.is_signed ? " signed" : " unsigned") +
+                                    " levels does not fit 8-bit codes");
     }
-    if (!force_wide && grid_fits_8bit(grid_)) {
-        narrow_.resize(n);
-        if (grid_.is_signed) {
-            const float scale = static_cast<float>(grid_.levels);
-            const long hi = static_cast<long>(grid_.levels);
-            auto* codes = reinterpret_cast<std::int8_t*>(narrow_.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                codes[i] = static_cast<std::int8_t>(encode_one(values[i], scale, -hi, hi));
-            }
-        } else {
-            encode_unit_u8(values, n, grid_.levels, narrow_.data());
+    codes_.resize(n);
+    if (grid_.is_signed) {
+        const float scale = static_cast<float>(grid_.levels);
+        const long hi = static_cast<long>(grid_.levels);
+        auto* codes = reinterpret_cast<std::int8_t*>(codes_.data());
+        for (std::size_t i = 0; i < n; ++i) {
+            codes[i] = static_cast<std::int8_t>(encode_one(values[i], scale, -hi, hi));
         }
     } else {
-        wide_.resize(n);
-        if (grid_.is_signed) {
-            encode_signed_i16(values, n, grid_.levels, wide_.data());
-        } else {
-            encode_unit_u16(values, n, grid_.levels, wide_.data());
-        }
+        encode_unit_u8(values, n, grid_.levels, codes_.data());
     }
 }
 
@@ -80,12 +60,10 @@ QuantizedView QuantizedTensor::view() const {
     QuantizedView v;
     v.grid = grid_;
     v.size = size_;
-    if (!wide_.empty()) {
-        v.i16 = wide_.data();
-    } else if (grid_.is_signed) {
-        v.i8 = reinterpret_cast<const std::int8_t*>(narrow_.data());
+    if (grid_.is_signed) {
+        v.i8 = reinterpret_cast<const std::int8_t*>(codes_.data());
     } else {
-        v.u8 = narrow_.data();
+        v.u8 = codes_.data();
     }
     return v;
 }
@@ -97,9 +75,7 @@ void QuantizedTensor::dequantize_into(float* out) const {
     // ulp for grids like n = 127.
     const float n = static_cast<float>(grid_.levels);
     const QuantizedView v = view();
-    if (v.i16 != nullptr) {
-        for (std::size_t i = 0; i < size_; ++i) out[i] = static_cast<float>(v.i16[i]) / n;
-    } else if (v.i8 != nullptr) {
+    if (v.i8 != nullptr) {
         for (std::size_t i = 0; i < size_; ++i) out[i] = static_cast<float>(v.i8[i]) / n;
     } else {
         for (std::size_t i = 0; i < size_; ++i) out[i] = static_cast<float>(v.u8[i]) / n;

@@ -42,23 +42,18 @@ struct QuantGrid {
     }
 };
 
-/// Non-owning view of integer codes on a grid. Exactly one of the code
-/// pointers is non-null, chosen by the producer to fit `grid.levels`:
-/// u8 for unsigned grids with levels <= 255, i8 for signed grids with
-/// levels <= 127, i16 otherwise (levels <= 32767).
+/// Non-owning view of 8-bit integer codes on a grid. Exactly one of the
+/// code pointers is non-null: u8 for unsigned grids (levels <= 255), i8
+/// for signed grids (levels <= 127).
 struct QuantizedView {
     QuantGrid grid;
     std::size_t size = 0;
     const std::uint8_t* u8 = nullptr;
     const std::int8_t* i8 = nullptr;
-    const std::int16_t* i16 = nullptr;
-
-    [[nodiscard]] bool wide() const { return i16 != nullptr; }
 };
 
-/// Owning code storage for one tensor's worth of grid codes. Narrow
-/// storage (8-bit) is used whenever the grid fits; the view() accessor
-/// hands out the matching pointer.
+/// Owning 8-bit code storage for one tensor's worth of grid codes; the
+/// view() accessor hands out the pointer matching the grid's signedness.
 class QuantizedTensor {
 public:
     QuantizedTensor() = default;
@@ -66,10 +61,9 @@ public:
     /// Encodes `n` on-grid float values (k / levels). Values are clamped
     /// to the representable code range, so off-grid inputs still encode
     /// to the nearest code; on-grid inputs round-trip bit-exactly.
-    /// `force_wide` keeps i16 storage even when the grid fits 8-bit
-    /// codes — the int16 GEMM path needs i16 operands regardless.
-    QuantizedTensor(const float* values, std::size_t n, QuantGrid grid,
-                    bool force_wide = false);
+    /// Throws std::invalid_argument when the grid does not fit 8-bit
+    /// codes (grid_fits_8bit).
+    QuantizedTensor(const float* values, std::size_t n, QuantGrid grid);
 
     [[nodiscard]] const QuantGrid& grid() const { return grid_; }
     [[nodiscard]] std::size_t size() const { return size_; }
@@ -84,23 +78,20 @@ public:
 private:
     QuantGrid grid_{};
     std::size_t size_ = 0;
-    std::vector<std::uint8_t> narrow_;  ///< u8 codes (reused as i8 bits when signed)
-    std::vector<std::int16_t> wide_;    ///< i16 codes when levels > 8-bit range
+    std::vector<std::uint8_t> codes_;  ///< u8 codes (reused as i8 bits when signed)
 };
 
 /// True when `levels` codes of this signedness fit 8-bit storage.
 [[nodiscard]] bool grid_fits_8bit(const QuantGrid& grid);
 
-/// Encode helpers shared by the compiler (weights, once) and the
-/// executor (activations, per batch). Inputs must lie in the grid's
-/// value range; each writes n codes.
+/// Unit-grid encoder shared by the compiler (weights, once) and the
+/// executor (activations, per batch). Inputs must lie in [0, 1]; writes
+/// n codes.
 void encode_unit_u8(const float* values, std::size_t n, std::size_t levels, std::uint8_t* out);
-void encode_signed_i16(const float* values, std::size_t n, std::size_t levels, std::int16_t* out);
-void encode_unit_u16(const float* values, std::size_t n, std::size_t levels, std::int16_t* out);
 
 /// DoReFa weight transform straight to codes: bit-identical to encoding
 /// the output of dorefa_quantize_weights_into on the signed grid for
-/// `bits`. Throws for bits < 2 or bits >= kFloatBits (no grid exists).
+/// `bits`. Throws for bits < 2 or bits > 8 (no 8-bit signed grid).
 [[nodiscard]] QuantizedTensor dorefa_quantize_weights_q(const Tensor& w, std::size_t bits);
 
 }  // namespace ams::quant

@@ -112,7 +112,6 @@ const char* counter_name(Counter counter) {
         case Counter::kCheckpointMemoHits: return "checkpoint_memo_hits";
         case Counter::kCheckpointMisses: return "checkpoint_misses";
         case Counter::kCheckpointCorruptRecovered: return "checkpoint_corrupt_recovered";
-        case Counter::kCheckpointLegacyMigrations: return "checkpoint_legacy_migrations";
         case Counter::kEvalPasses: return "eval_passes";
         case Counter::kEvalBatches: return "eval_batches";
         case Counter::kServeRequests: return "serve_requests";

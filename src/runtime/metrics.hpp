@@ -87,7 +87,6 @@ enum class Counter : int {
     kCheckpointMemoHits,  ///< states served from the in-process memo
     kCheckpointMisses,    ///< states produced (trained) on demand
     kCheckpointCorruptRecovered,   ///< torn/corrupt entries recomputed, not propagated
-    kCheckpointLegacyMigrations,   ///< legacy-named entries adopted under content hashes
 
     // Evaluation protocol (train/evaluate.cpp)
     kEvalPasses,          ///< full validation passes

@@ -21,8 +21,6 @@ void bn_normalize_avx2(const float* in, float* out, std::size_t n, float mean, f
 void quantize_unit_avx2(const float* in, float* out, std::size_t n, float levels);
 void quantize_signed_avx2(const float* in, float* out, std::size_t n, float levels);
 void encode_unit_u8_avx2(const float* in, std::uint8_t* out, std::size_t n, float levels);
-void encode_unit_u16_avx2(const float* in, std::int16_t* out, std::size_t n, float levels);
-void encode_signed_i16_avx2(const float* in, std::int16_t* out, std::size_t n, float levels);
 }  // namespace detail
 
 bool cpu_supports_avx2_fma() {
@@ -33,20 +31,10 @@ bool cpu_supports_avx2_fma() {
 #endif
 }
 
-bool cpu_supports_sse41() {
-#if defined(AMSNET_HAVE_SSE41)
-    return __builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1");
-#else
-    return false;
-#endif
-}
-
 namespace {
 /// Best supported level not above `request`.
 Level clamp_supported(Level request) {
-    if (level_at_least(request, Level::kAvx2) && cpu_supports_avx2_fma()) return Level::kAvx2;
-    if (level_at_least(request, Level::kSse41) && cpu_supports_sse41()) return Level::kSse41;
-    return Level::kScalar;
+    return request == Level::kAvx2 && cpu_supports_avx2_fma() ? Level::kAvx2 : Level::kScalar;
 }
 }  // namespace
 
@@ -56,9 +44,8 @@ Level detect_level() {
             std::strcmp(env, "0") == 0) {
             return Level::kScalar;
         }
-        if (std::strcmp(env, "sse41") == 0) return clamp_supported(Level::kSse41);
-        if (std::strcmp(env, "avx2") == 0) return clamp_supported(Level::kAvx2);
-        // Unrecognized value: fall through to auto-detection.
+        // "avx2" and unrecognized values alike auto-detect: AVX2 is the
+        // only vector arm.
     }
     return clamp_supported(Level::kAvx2);
 }
@@ -77,7 +64,6 @@ void set_level(Level level) { level_slot().store(clamp_supported(level), std::me
 const char* level_name(Level level) {
     switch (level) {
         case Level::kAvx2: return "avx2";
-        case Level::kSse41: return "sse41";
         case Level::kScalar: break;
     }
     return "scalar";
@@ -157,28 +143,6 @@ void encode_unit_u8(const float* in, std::uint8_t* out, std::size_t n, float lev
     const long hi = static_cast<long>(levels);
     for (std::size_t i = 0; i < n; ++i) {
         out[i] = static_cast<std::uint8_t>(std::clamp(std::lround(in[i] * levels), 0L, hi));
-    }
-}
-
-void encode_unit_u16(const float* in, std::int16_t* out, std::size_t n, float levels) {
-#if defined(AMSNET_HAVE_AVX2)
-    if (active_level() == Level::kAvx2) return detail::encode_unit_u16_avx2(in, out, n, levels);
-#endif
-    const long hi = static_cast<long>(levels);
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<std::int16_t>(std::clamp(std::lround(in[i] * levels), 0L, hi));
-    }
-}
-
-void encode_signed_i16(const float* in, std::int16_t* out, std::size_t n, float levels) {
-#if defined(AMSNET_HAVE_AVX2)
-    if (active_level() == Level::kAvx2) {
-        return detail::encode_signed_i16_avx2(in, out, n, levels);
-    }
-#endif
-    const long hi = static_cast<long>(levels);
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<std::int16_t>(std::clamp(std::lround(in[i] * levels), -hi, hi));
     }
 }
 

@@ -17,9 +17,9 @@
 //   * Dispatch is resolved once (env + cpuid) and cached; tests and
 //     benches can flip arms explicitly with set_level().
 //
-// Environment: AMSNET_SIMD = off|scalar|0 forces the scalar arm,
-// "sse41" / "avx2" request a vector arm (silently clamped to the best
-// level the CPU supports), anything else / unset auto-detects.
+// Environment: AMSNET_SIMD = off|scalar|0 forces the scalar arm, "avx2"
+// requests the vector arm (silently clamped to scalar when the CPU lacks
+// it), anything else / unset auto-detects.
 #pragma once
 
 #include <cstddef>
@@ -29,24 +29,16 @@ namespace ams::simd {
 
 enum class Level {
     kScalar,  ///< portable reference loops (always available)
-    kSse41,   ///< SSSE3/SSE4.1 128-bit integer-GEMM kernels (x86-64)
     kAvx2,    ///< AVX2 + FMA vector kernels (x86-64 only)
 };
-
-/// True when `level` provides at least the capabilities of `floor`
-/// (levels are ordered kScalar < kSse41 < kAvx2).
-[[nodiscard]] constexpr bool level_at_least(Level level, Level floor) {
-    return static_cast<int>(level) >= static_cast<int>(floor);
-}
 
 /// The arm every dispatching kernel currently uses. First call resolves
 /// AMSNET_SIMD + cpuid and caches the result; later calls are one
 /// relaxed atomic load.
 [[nodiscard]] Level active_level();
 
-/// Overrides the active arm (tests / benches comparing both). A request
-/// above what the CPU supports is clamped to the best supported level
-/// (kAvx2 -> kSse41 -> kScalar).
+/// Overrides the active arm (tests / benches comparing both). A kAvx2
+/// request on a CPU without AVX2/FMA is clamped to kScalar.
 void set_level(Level level);
 
 /// Re-runs the environment + cpuid resolution (what active_level() was
@@ -55,10 +47,6 @@ void set_level(Level level);
 
 /// True when the CPU (and this build) can run the AVX2/FMA arm.
 [[nodiscard]] bool cpu_supports_avx2_fma();
-
-/// True when the CPU (and this build) can run the SSSE3/SSE4.1 128-bit
-/// integer kernels (implied by AVX2 support).
-[[nodiscard]] bool cpu_supports_sse41();
 
 [[nodiscard]] const char* level_name(Level level);
 
@@ -98,18 +86,12 @@ void quantize_signed(const float* in, float* out, std::size_t n, float levels);
 //
 // out[i] = narrow(clamp(lround(in[i] * levels), lo, hi)) with the
 // integer range implied by the signature. Unlike quantize_unit, the
-// AVX2 arm of these is bit-identical to the scalar arm on EVERY input
+// AVX2 arm of this is bit-identical to the scalar arm on EVERY input
 // (exact lround, realized as round-to-nearest-even plus a half-ulp tie
 // fixup): the packed integer GEMM path promises cross-arm bit-identity,
 // so its operand encoding cannot be allowed half-ulp drift.
 
 /// Unsigned unit-grid codes, levels <= 255: clamp range [0, levels].
 void encode_unit_u8(const float* in, std::uint8_t* out, std::size_t n, float levels);
-
-/// Unsigned unit-grid codes, levels <= 32767: clamp range [0, levels].
-void encode_unit_u16(const float* in, std::int16_t* out, std::size_t n, float levels);
-
-/// Signed grid codes, levels <= 32767: clamp range [-levels, levels].
-void encode_signed_i16(const float* in, std::int16_t* out, std::size_t n, float levels);
 
 }  // namespace ams::simd

@@ -166,45 +166,6 @@ void encode_unit_u8_avx2(const float* in, std::uint8_t* out, std::size_t n, floa
     }
 }
 
-namespace {
-
-/// Shared body of the two int16 encoders (they differ only in the clamp
-/// floor). packs_epi32 saturates to int16, but every lane is already
-/// clamped to the grid range, so it only narrows.
-template <typename LoadLo>
-inline void encode_i16_avx2(const float* in, std::int16_t* out, std::size_t n, float levels,
-                            __m256i lo, LoadLo scalar_tail) {
-    const __m256 vn = _mm256_set1_ps(levels);
-    const __m256i hi = _mm256_set1_epi32(static_cast<std::int32_t>(levels));
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i a = encode_epi32(_mm256_loadu_ps(in + i), vn, lo, hi);
-        const __m256i b = encode_epi32(_mm256_loadu_ps(in + i + 8), vn, lo, hi);
-        const __m256i w = _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0b11011000);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), w);
-    }
-    for (; i < n; ++i) out[i] = scalar_tail(in[i]);
-}
-
-}  // namespace
-
-void encode_unit_u16_avx2(const float* in, std::int16_t* out, std::size_t n, float levels) {
-    const long hil = static_cast<long>(levels);
-    encode_i16_avx2(in, out, n, levels, _mm256_setzero_si256(), [levels, hil](float x) {
-        return static_cast<std::int16_t>(std::clamp(std::lround(x * levels), 0L, hil));
-    });
-}
-
-void encode_signed_i16_avx2(const float* in, std::int16_t* out, std::size_t n, float levels) {
-    const long hil = static_cast<long>(levels);
-    encode_i16_avx2(in, out, n, levels,
-                    _mm256_set1_epi32(-static_cast<std::int32_t>(levels)),
-                    [levels, hil](float x) {
-                        return static_cast<std::int16_t>(
-                            std::clamp(std::lround(x * levels), -hil, hil));
-                    });
-}
-
 }  // namespace ams::simd::detail
 
 #endif  // AMSNET_HAVE_AVX2

@@ -17,8 +17,6 @@ namespace ams {
 const char* gemm_int_mode_name(GemmIntMode mode) {
     switch (mode) {
         case GemmIntMode::kInt8: return "int8";
-        case GemmIntMode::kInt16: return "int16";
-        case GemmIntMode::kAuto: return "auto";
         case GemmIntMode::kOff: break;
     }
     return "off";
@@ -27,8 +25,6 @@ const char* gemm_int_mode_name(GemmIntMode mode) {
 GemmIntMode parse_gemm_int_mode(const char* text) {
     if (text == nullptr || *text == '\0') return GemmIntMode::kOff;
     if (std::strcmp(text, "int8") == 0) return GemmIntMode::kInt8;
-    if (std::strcmp(text, "int16") == 0) return GemmIntMode::kInt16;
-    if (std::strcmp(text, "auto") == 0) return GemmIntMode::kAuto;
     return GemmIntMode::kOff;
 }
 
@@ -68,21 +64,6 @@ void gemm_s8u8_rows_scalar(const std::int8_t* a, const std::uint8_t* b, std::int
             const std::int32_t aik = a[i * k + kk];
             if (aik == 0) continue;
             const std::uint8_t* brow = b + kk * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-        }
-    }
-}
-
-void gemm_s16_rows_scalar(const std::int16_t* a, const std::int16_t* b, std::int32_t* c,
-                          std::size_t row_begin, std::size_t row_end, std::size_t k,
-                          std::size_t n) {
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-        std::int32_t* crow = c + i * n;
-        std::memset(crow, 0, n * sizeof(std::int32_t));
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const std::int32_t aik = a[i * k + kk];
-            if (aik == 0) continue;
-            const std::int16_t* brow = b + kk * n;
             for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
         }
     }
@@ -145,43 +126,6 @@ void pack_b_i8(const std::uint8_t* b, std::size_t k, std::size_t n, std::uint8_t
     }
 }
 
-void pack_b_i16(const std::int16_t* b, std::size_t k, std::size_t n, std::int16_t* panel) {
-    const std::size_t k2 = round_up_pow2(k, 2);
-    const std::size_t groups = (n + kIntNr - 1) / kIntNr;
-    for (std::size_t g = 0; g < groups; ++g) {
-        std::int16_t* out = panel + g * k2 * kIntNr;
-        const std::size_t cols = std::min(kIntNr, n - g * kIntNr);
-        std::size_t kb = 0;
-#if defined(__SSE2__)
-        // Full groups interleave two k rows word-wise: word c of row t
-        // lands at out[c * 2 + t].
-        if (cols == kIntNr) {
-            const std::int16_t* src = b + g * kIntNr;
-            for (; (kb + 1) * 2 <= k; ++kb) {
-                const std::size_t kk = kb * 2;
-                const __m128i r0 =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + (kk + 0) * n));
-                const __m128i r1 =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + (kk + 1) * n));
-                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + kb * 16),
-                                 _mm_unpacklo_epi16(r0, r1));
-                _mm_storeu_si128(reinterpret_cast<__m128i*>(out + kb * 16 + 8),
-                                 _mm_unpackhi_epi16(r0, r1));
-            }
-        }
-#endif
-        for (; kb * 2 < k2; ++kb) {
-            for (std::size_t c = 0; c < kIntNr; ++c) {
-                for (std::size_t t = 0; t < 2; ++t) {
-                    const std::size_t kk = kb * 2 + t;
-                    out[kb * 16 + c * 2 + t] =
-                        (c < cols && kk < k) ? b[kk * n + g * kIntNr + c] : 0;
-                }
-            }
-        }
-    }
-}
-
 void pack_a_i8(const std::int8_t* a, std::size_t rows, std::size_t k, std::int8_t* strip) {
     const std::size_t k4 = round_up_pow2(k, 4);
     // The strip keeps each row's 4-code k block contiguous, so a full
@@ -205,46 +149,19 @@ void pack_a_i8(const std::int8_t* a, std::size_t rows, std::size_t k, std::int8_
     }
 }
 
-void pack_a_i16(const std::int16_t* a, std::size_t rows, std::size_t k, std::int16_t* strip) {
-    const std::size_t k2 = round_up_pow2(k, 2);
-    std::size_t kb = 0;
-    if (rows == kIntMr) {
-        for (; (kb + 1) * 2 <= k; ++kb) {
-            for (std::size_t r = 0; r < kIntMr; ++r) {
-                std::memcpy(strip + kb * 8 + r * 2, a + r * k + kb * 2, 4);
-            }
-        }
-    }
-    for (; kb * 2 < k2; ++kb) {
-        for (std::size_t r = 0; r < kIntMr; ++r) {
-            for (std::size_t t = 0; t < 2; ++t) {
-                const std::size_t kk = kb * 2 + t;
-                strip[kb * 8 + r * 2 + t] = (r < rows && kk < k) ? a[r * k + kk] : 0;
-            }
-        }
-    }
-}
-
 }  // namespace kernels
 
 void gemm_s8u8(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, std::size_t m,
                std::size_t k, std::size_t n, GemmPackBuffers* pack) {
     count_gemm_int(m, k, n);
-#if defined(AMSNET_HAVE_SSE41)
-    const simd::Level level = simd::active_level();
-    if (simd::level_at_least(level, simd::Level::kSse41)) {
+#if defined(AMSNET_HAVE_AVX2)
+    if (simd::active_level() == simd::Level::kAvx2) {
         GemmPackBuffers& pb = pack != nullptr ? *pack : tls_pack_buffers();
         auto* panel = reinterpret_cast<std::uint8_t*>(
             pb.ensure(GemmPackBuffers::kPackB, packed_b_i8_floats(k, n)));
         kernels::pack_b_i8(b, k, n, panel);
         run_rows(m, k, n, [&](std::size_t r0, std::size_t r1) {
-#if defined(AMSNET_HAVE_AVX2)
-            if (level == simd::Level::kAvx2) {
-                kernels::gemm_s8u8_rows_avx2(a, panel, c, r0, r1, k, n);
-                return;
-            }
-#endif
-            kernels::gemm_s8u8_rows_sse41(a, panel, c, r0, r1, k, n);
+            kernels::gemm_s8u8_rows_avx2(a, panel, c, r0, r1, k, n);
         });
         return;
     }
@@ -252,34 +169,6 @@ void gemm_s8u8(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, std
     (void)pack;
     run_rows(m, k, n, [&](std::size_t r0, std::size_t r1) {
         gemm_s8u8_rows_scalar(a, b, c, r0, r1, k, n);
-    });
-}
-
-void gemm_s16(const std::int16_t* a, const std::int16_t* b, std::int32_t* c, std::size_t m,
-              std::size_t k, std::size_t n, GemmPackBuffers* pack) {
-    count_gemm_int(m, k, n);
-#if defined(AMSNET_HAVE_SSE41)
-    const simd::Level level = simd::active_level();
-    if (simd::level_at_least(level, simd::Level::kSse41)) {
-        GemmPackBuffers& pb = pack != nullptr ? *pack : tls_pack_buffers();
-        auto* panel = reinterpret_cast<std::int16_t*>(
-            pb.ensure(GemmPackBuffers::kPackB, packed_b_i16_floats(k, n)));
-        kernels::pack_b_i16(b, k, n, panel);
-        run_rows(m, k, n, [&](std::size_t r0, std::size_t r1) {
-#if defined(AMSNET_HAVE_AVX2)
-            if (level == simd::Level::kAvx2) {
-                kernels::gemm_s16_rows_avx2(a, panel, c, r0, r1, k, n);
-                return;
-            }
-#endif
-            kernels::gemm_s16_rows_sse41(a, panel, c, r0, r1, k, n);
-        });
-        return;
-    }
-#endif
-    (void)pack;
-    run_rows(m, k, n, [&](std::size_t r0, std::size_t r1) {
-        gemm_s16_rows_scalar(a, b, c, r0, r1, k, n);
     });
 }
 

@@ -7,24 +7,23 @@
 //   acc[i][j] = sum_k a[i][k] * b[k][j]        (integer, no rounding)
 //
 // so requantization is a single float multiply per output
-// (compile/executor epilogue). Unlike the fp32 kernels, *every* arm —
-// scalar reference, 128-bit SSSE3/SSE4.1 (`pmaddubsw`/`pmaddwd`), and
-// 256-bit AVX2 (`vpmaddubsw`/`vpmaddwd`) — produces bit-identical
-// results at any thread count, because integer addition is exact and
-// associative. The scalar arm therefore *is* the reference semantics of
-// the vector arms, not an approximation of them.
+// (compile/executor epilogue). There is one lane — int8 weight codes x
+// uint8 activation codes — with two arms: the scalar reference and the
+// 256-bit AVX2 kernel (`vpmaddubsw`/`vpmaddwd`). Unlike the fp32
+// kernels, both arms produce bit-identical results at any thread count,
+// because integer addition is exact and associative. The scalar arm
+// therefore *is* the reference semantics of the vector arm, not an
+// approximation of it.
 //
 // Arm selection follows the AMSNET_SIMD dispatcher: kAvx2 uses the
-// 256-bit kernels, kSse41 the 128-bit kernels, kScalar (AMSNET_SIMD=off)
-// the portable loops. Whether integer GEMM runs at all is a *separate*
-// knob, AMSNET_GEMM_INT (see GemmIntMode), consumed by the compiler.
+// packed 256-bit kernel, kScalar (AMSNET_SIMD=off) the portable loops.
+// Whether integer GEMM runs at all is a *separate* knob,
+// AMSNET_GEMM_INT (see GemmIntMode), consumed by the compiler.
 //
 // Operand contracts (enforced by the compiler's eligibility rules):
 //   * gemm_s8u8 — A signed codes |a| <= 127, B unsigned codes b <= 127
 //     (sign-magnitude grids of <= 8-bit operands). The i16 intermediate
-//     of pmaddubsw then never saturates: 2 * 127 * 127 < 2^15.
-//   * gemm_s16 — both operands signed 16-bit codes, |code| <= 32767
-//     (sign-magnitude never produces -32768, so pmaddwd cannot overflow).
+//     of vpmaddubsw then never saturates: 2 * 127 * 127 < 2^15.
 //   * int_accumulator_safe(max|a|, max|b|, k) must hold for the int32
 //     accumulator.
 #pragma once
@@ -38,16 +37,13 @@ namespace ams {
 
 /// Which integer GEMM path the compiler may select (AMSNET_GEMM_INT).
 enum class GemmIntMode {
-    kOff,    ///< every GEMM stays fp32 (default; bit-identical plans)
-    kInt8,   ///< int8 codes where eligible, fp32 elsewhere
-    kInt16,  ///< int16 codes where eligible, fp32 elsewhere
-    kAuto,   ///< int8 where eligible, else int16, else fp32
+    kOff,   ///< every GEMM stays fp32 (default; bit-identical plans)
+    kInt8,  ///< int8 codes where eligible, fp32 elsewhere
 };
 
 [[nodiscard]] const char* gemm_int_mode_name(GemmIntMode mode);
 
-/// Parses "off" / "int8" / "int16" / "auto"; nullptr, empty, or
-/// unrecognized text maps to kOff.
+/// Parses "off" / "int8"; nullptr, empty, or any other text maps to kOff.
 [[nodiscard]] GemmIntMode parse_gemm_int_mode(const char* text);
 
 /// parse_gemm_int_mode(getenv("AMSNET_GEMM_INT")) — re-read every call.
@@ -66,18 +62,13 @@ enum class GemmIntMode {
 void gemm_s8u8(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, std::size_t m,
                std::size_t k, std::size_t n, GemmPackBuffers* pack = nullptr);
 
-/// C (MxN, int32) = A (MxK, int16 codes) * B (KxN, int16 codes).
-void gemm_s16(const std::int16_t* a, const std::int16_t* b, std::int32_t* c, std::size_t m,
-              std::size_t k, std::size_t n, GemmPackBuffers* pack = nullptr);
-
-// ----- packed-panel geometry (shared by the SSE4.1 and AVX2 arms) -----
+// ----- packed-panel geometry (AVX2 arm) -----
 //
-// B panels mirror the fp32 packing scheme at integer widths: column
-// groups of kIntNr = 8, zero-padded in both K and N. int8 interleaves
-// k-blocks of 4 (one pmaddubsw feeds 4 products per column), int16
-// k-blocks of 2 (one pmaddwd feeds 2). Within a k-block the 8 columns'
-// codes are contiguous — 16 bytes = one XMM load covers 4 columns, 32
-// bytes = one YMM load covers all 8.
+// B panels mirror the fp32 packing scheme at byte width: column groups
+// of kIntNr = 8, zero-padded in both K and N, interleaved in k-blocks
+// of 4 (one vpmaddubsw feeds 4 products per column). Within a k-block
+// the 8 columns' codes are contiguous, so one 32-byte YMM load covers
+// all 8.
 
 inline constexpr std::size_t kIntMr = 4;  ///< A rows per microkernel tile
 inline constexpr std::size_t kIntNr = 8;  ///< B columns per panel group
@@ -92,43 +83,22 @@ inline constexpr std::size_t kIntNr = 8;  ///< B columns per panel group
     return (round_up_pow2(n, kIntNr) * round_up_pow2(k, 4) + 3) / 4;
 }
 
-/// Pack-buffer floats for the int16 B panel: round_up(N,8) * round_up(K,2)
-/// 16-bit codes.
-[[nodiscard]] constexpr std::size_t packed_b_i16_floats(std::size_t k, std::size_t n) {
-    return (round_up_pow2(n, kIntNr) * round_up_pow2(k, 2) * 2 + 3) / 4;
-}
-
 namespace kernels {
 
 /// Packs B (KxN row-major codes) into the int8 panel layout:
 /// panel[g*K4*8 + kb*32 + c*4 + t] = b[(4kb+t)*n + 8g+c], zero-padded.
 void pack_b_i8(const std::uint8_t* b, std::size_t k, std::size_t n, std::uint8_t* panel);
 
-/// int16 panel: panel[g*K2*8 + kb*16 + c*2 + t] = b[(2kb+t)*n + 8g+c].
-void pack_b_i16(const std::int16_t* b, std::size_t k, std::size_t n, std::int16_t* panel);
-
 /// Packs `rows` (<= kIntMr) rows of A into the 4-k interleaved strip
 /// strip[kb*16 + r*4 + t] = a[r*k + 4kb+t]; missing rows/k zero-padded.
 void pack_a_i8(const std::int8_t* a, std::size_t rows, std::size_t k, std::int8_t* strip);
 
-/// 2-k interleaved int16 strip: strip[kb*8 + r*2 + t] = a[r*k + 2kb+t].
-void pack_a_i16(const std::int16_t* a, std::size_t rows, std::size_t k, std::int16_t* strip);
-
-// Row-range vector arms over a pre-packed B panel (gemm_int_sse41.cpp /
-// gemm_int_avx2.cpp; only called behind the matching cpu_supports
-// check). Each packs its own thread-local A strips.
-void gemm_s8u8_rows_sse41(const std::int8_t* a, const std::uint8_t* panel, std::int32_t* c,
-                          std::size_t row_begin, std::size_t row_end, std::size_t k,
-                          std::size_t n);
-void gemm_s16_rows_sse41(const std::int16_t* a, const std::int16_t* panel, std::int32_t* c,
-                         std::size_t row_begin, std::size_t row_end, std::size_t k,
-                         std::size_t n);
+// Row-range AVX2 arm over a pre-packed B panel (gemm_int_avx2.cpp; only
+// called behind cpu_supports_avx2_fma()). Packs its own thread-local A
+// strips.
 void gemm_s8u8_rows_avx2(const std::int8_t* a, const std::uint8_t* panel, std::int32_t* c,
                          std::size_t row_begin, std::size_t row_end, std::size_t k,
                          std::size_t n);
-void gemm_s16_rows_avx2(const std::int16_t* a, const std::int16_t* panel, std::int32_t* c,
-                        std::size_t row_begin, std::size_t row_end, std::size_t k,
-                        std::size_t n);
 
 }  // namespace kernels
 

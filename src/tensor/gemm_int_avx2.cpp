@@ -1,11 +1,11 @@
-// 256-bit integer GEMM arms (vpmaddubsw / vpmaddwd), compiled with
-// -mavx2 -mfma and only called behind cpu_supports_avx2_fma(). Consumes
-// the same packed panels as the SSE4.1 arm: one 32-byte block is exactly
-// a panel group's 8 columns x 4 int8 k-codes (or 8 x 2 int16), and the
-// per-128-bit-lane semantics of vpmaddubsw/vpmaddwd match the layout
-// (low lane = columns 0-3, high lane = columns 4-7), so after the
-// horizontal folds each of the 8 i32 lanes is one column in order.
-// Identical exact-integer results to the other two arms.
+// 256-bit integer GEMM arm (vpmaddubsw / vpmaddwd), compiled with
+// -mavx2 -mfma and only called behind cpu_supports_avx2_fma(). One
+// 32-byte block of the packed int8 panel is exactly a panel group's
+// 8 columns x 4 k-codes, and the per-128-bit-lane semantics of
+// vpmaddubsw/vpmaddwd match the layout (low lane = columns 0-3, high
+// lane = columns 4-7), so after the horizontal folds each of the 8 i32
+// lanes is one column in order. Identical exact-integer results to the
+// scalar arm.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -88,37 +88,6 @@ void gemm_s8u8_rows_avx2(const std::int8_t* a, const std::uint8_t* panel, std::i
                     const __m256i av = _mm256_set1_epi32(strip32[kb * kIntMr + r]);
                     acc[r] = _mm256_add_epi32(
                         acc[r], _mm256_madd_epi16(_mm256_maddubs_epi16(b0, av), ones));
-                }
-            }
-            const std::size_t cols = std::min(kIntNr, n - g * kIntNr);
-            for (std::size_t r = 0; r < rows; ++r) {
-                store_cols(c + (i0 + r) * n + g * kIntNr, acc[r], cols);
-            }
-        }
-    }
-}
-
-void gemm_s16_rows_avx2(const std::int16_t* a, const std::int16_t* panel, std::int32_t* c,
-                        std::size_t row_begin, std::size_t row_end, std::size_t k,
-                        std::size_t n) {
-    const std::size_t k2 = round_up_pow2(k, 2);
-    const std::size_t blocks = k2 / 2;
-    const std::size_t groups = (n + kIntNr - 1) / kIntNr;
-    auto* strip = reinterpret_cast<std::int16_t*>(strip_scratch(kIntMr * k2 * 2));
-    for (std::size_t i0 = row_begin; i0 < row_end; i0 += kIntMr) {
-        const std::size_t rows = std::min(kIntMr, row_end - i0);
-        pack_a_i16(a + i0 * k, rows, k, strip);
-        const auto* strip32 = reinterpret_cast<const std::int32_t*>(strip);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const std::int16_t* bp = panel + g * k2 * kIntNr;
-            __m256i acc[kIntMr];
-            for (auto& row_acc : acc) row_acc = _mm256_setzero_si256();
-            for (std::size_t kb = 0; kb < blocks; ++kb) {
-                const __m256i b0 =
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + kb * 16));
-                for (std::size_t r = 0; r < kIntMr; ++r) {
-                    const __m256i av = _mm256_set1_epi32(strip32[kb * kIntMr + r]);
-                    acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(b0, av));
                 }
             }
             const std::size_t cols = std::min(kIntNr, n - g * kIntNr);

@@ -62,16 +62,12 @@ void im2col(const float* image, const ConvGeometry& g, float* columns) {
         });
 }
 
-namespace {
-
-// Shared body of the code-typed twins. Mirrors im2col's addressing
-// exactly (the float loop stays separate so its parallel grain policy is
-// untouched); padding taps take code 0. For unit column stride the
-// inner loop degenerates to one contiguous row copy between two padding
-// runs, so the common 3x3/s1 case moves whole rows with memcpy instead
-// of per-tap bound checks.
-template <typename Code>
-void im2col_codes(const Code* image, const ConvGeometry& g, Code* columns) {
+// Mirrors im2col's addressing exactly (the float loop stays separate so
+// its parallel grain policy is untouched); padding taps take code 0. For
+// unit column stride the inner loop degenerates to one contiguous row
+// copy between two padding runs, so the common 3x3/s1 case moves whole
+// rows with memcpy instead of per-tap bound checks.
+void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns) {
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
     const std::size_t out_spatial = oh * ow;
@@ -80,8 +76,8 @@ void im2col_codes(const Code* image, const ConvGeometry& g, Code* columns) {
         const std::size_t kw = row % g.kernel_w;
         const std::size_t kh = (row / g.kernel_w) % g.kernel_h;
         const std::size_t c = row / (g.kernel_w * g.kernel_h);
-        const Code* chan = image + c * g.in_h * g.in_w;
-        Code* out_row = columns + row * out_spatial;
+        const std::uint8_t* chan = image + c * g.in_h * g.in_w;
+        std::uint8_t* out_row = columns + row * out_spatial;
         // With stride_w == 1, ix = ox + (kw - pad_w): in-bounds for
         // ox in [lo, hi).
         const long long off = static_cast<long long>(kw) - static_cast<long long>(g.pad_w);
@@ -95,41 +91,32 @@ void im2col_codes(const Code* image, const ConvGeometry& g, Code* columns) {
         for (std::size_t oy = 0; oy < oh; ++oy) {
             const long long iy = static_cast<long long>(oy * g.stride_h + kh) -
                                  static_cast<long long>(g.pad_h);
-            Code* dst = out_row + oy * ow;
+            std::uint8_t* dst = out_row + oy * ow;
             if (iy < 0 || iy >= static_cast<long long>(g.in_h)) {
-                std::memset(dst, 0, ow * sizeof(Code));
+                std::memset(dst, 0, ow);
                 continue;
             }
-            const Code* in_row = chan + static_cast<std::size_t>(iy) * g.in_w;
+            const std::uint8_t* in_row = chan + static_cast<std::size_t>(iy) * g.in_w;
             if (g.stride_w == 1) {
-                if (lo > 0) std::memset(dst, 0, lo * sizeof(Code));
+                if (lo > 0) std::memset(dst, 0, lo);
                 if (hi > lo) {
                     const auto ix0 = static_cast<std::size_t>(off + static_cast<long long>(lo));
-                    std::memcpy(dst + lo, in_row + ix0, (hi - lo) * sizeof(Code));
+                    std::memcpy(dst + lo, in_row + ix0, hi - lo);
                 }
-                if (ow > hi) std::memset(dst + hi, 0, (ow - hi) * sizeof(Code));
+                if (ow > hi) std::memset(dst + hi, 0, ow - hi);
                 continue;
             }
             for (std::size_t ox = 0; ox < ow; ++ox) {
                 const long long ix = static_cast<long long>(ox * g.stride_w + kw) -
                                      static_cast<long long>(g.pad_w);
                 dst[ox] = (ix < 0 || ix >= static_cast<long long>(g.in_w))
-                              ? Code{0}
+                              ? std::uint8_t{0}
                               : in_row[static_cast<std::size_t>(ix)];
             }
         }
     }
 }
 
-}  // namespace
-
-void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns) {
-    im2col_codes(image, g, columns);
-}
-
-void im2col_i16(const std::int16_t* image, const ConvGeometry& g, std::int16_t* columns) {
-    im2col_codes(image, g, columns);
-}
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
     const std::size_t oh = g.out_h();

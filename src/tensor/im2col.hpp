@@ -40,14 +40,13 @@ struct ConvGeometry {
 /// `columns` must hold geometry.patch_size() * out_h * out_w floats.
 void im2col(const float* image, const ConvGeometry& g, float* columns);
 
-/// Code-typed im2col twins for the integer GEMM path: identical
-/// addressing to the float version, but over quantization codes. Padding
+/// Code-typed im2col for the integer GEMM path: identical addressing to
+/// the float version, but over uint8 activation codes. Padding
 /// taps are written as code 0, which is exact because every grid the
 /// integer path accepts places the value 0.0 at code 0 (zero-point 0).
 /// Serial by design — the integer conv driver already parallelizes over
 /// the batch around these calls.
 void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns);
-void im2col_i16(const std::int16_t* image, const ConvGeometry& g, std::int16_t* columns);
 
 /// Adjoint of im2col: scatters a column matrix back into an image buffer,
 /// accumulating where patches overlap. `image` must be pre-zeroed by the

@@ -43,11 +43,6 @@ CacheKey& CacheKey::label(std::string_view text) {
     return *this;
 }
 
-CacheKey& CacheKey::legacy(std::string_view legacy_key) {
-    legacy_.assign(legacy_key);
-    return *this;
-}
-
 CacheKey& CacheKey::add(std::string_view field, std::string_view value) {
     if (field.find_first_of("=\n") != std::string_view::npos) {
         throw std::invalid_argument("CacheKey: field name contains '=' or newline: " +

@@ -41,10 +41,6 @@ public:
     /// Human-readable filename prefix (sanitized; not hashed).
     CacheKey& label(std::string_view text);
 
-    /// Pre-content-hash key this entry was historically stored under;
-    /// enables the one-time migration shim in cached_state().
-    CacheKey& legacy(std::string_view legacy_key);
-
     CacheKey& add(std::string_view field, std::string_view value);
     CacheKey& add(std::string_view field, const char* value) {
         return add(field, std::string_view(value));
@@ -69,12 +65,10 @@ public:
     [[nodiscard]] std::string filename() const;
 
     [[nodiscard]] const std::string& label_text() const { return label_; }
-    [[nodiscard]] const std::string& legacy_key() const { return legacy_; }
 
 private:
     std::string canonical_;
     std::string label_;
-    std::string legacy_;
 };
 
 /// Renders a double with 17 significant digits ("%.17g"): enough for the

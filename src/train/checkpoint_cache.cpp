@@ -73,18 +73,6 @@ bool try_load(const fs::path& path, TensorMap& out) {
     }
 }
 
-TensorMap produce_and_publish(const fs::path& path, const std::function<TensorMap()>& produce,
-                              bool memoize) {
-    runtime::metrics::add(runtime::metrics::Counter::kCheckpointMisses);
-    TensorMap state = produce();
-    save_state_atomic(path.string(), state);
-    if (memoize) {
-        std::lock_guard<std::mutex> memo_lock(g_memo_mu);
-        state_memo()[path.string()] = state;
-    }
-    return state;
-}
-
 }  // namespace
 
 std::string sanitize_cache_key(const std::string& key) {
@@ -124,32 +112,6 @@ void save_state_atomic(const std::string& path, const TensorMap& state) {
     }
 }
 
-TensorMap cached_state(const std::string& cache_dir, const std::string& key,
-                       const std::function<TensorMap()>& produce) {
-    fs::create_directories(cache_dir);
-    const fs::path path = fs::path(cache_dir) / (sanitize_cache_key(key) + ".amsckpt");
-
-    const std::shared_ptr<std::mutex> mu = key_mutex(path.string());
-    std::lock_guard<std::mutex> lock(*mu);
-
-    const bool read_cache = cache_reads_enabled();
-    if (read_cache) {
-        TensorMap state;
-        if (try_load(path, state)) {
-            runtime::metrics::add(runtime::metrics::Counter::kCheckpointDiskHits);
-            return state;
-        }
-    } else {
-        std::lock_guard<std::mutex> memo_lock(g_memo_mu);
-        auto it = state_memo().find(path.string());
-        if (it != state_memo().end()) {
-            runtime::metrics::add(runtime::metrics::Counter::kCheckpointMemoHits);
-            return it->second;
-        }
-    }
-    return produce_and_publish(path, produce, /*memoize=*/!read_cache);
-}
-
 TensorMap cached_state(const std::string& cache_dir, const CacheKey& key,
                        const std::function<TensorMap()>& produce) {
     fs::create_directories(cache_dir);
@@ -165,20 +127,6 @@ TensorMap cached_state(const std::string& cache_dir, const CacheKey& key,
             runtime::metrics::add(runtime::metrics::Counter::kCheckpointDiskHits);
             return state;
         }
-        // Migration shim: a cache directory written before content
-        // addressing holds this entry under its legacy name. Adopt it
-        // under the content-hash name (the legacy file stays, so mixed
-        // old/new builds keep working against one directory).
-        if (!key.legacy_key().empty()) {
-            const fs::path legacy_path =
-                fs::path(cache_dir) / (sanitize_cache_key(key.legacy_key()) + ".amsckpt");
-            if (try_load(legacy_path, state)) {
-                save_state_atomic(path.string(), state);
-                runtime::metrics::add(runtime::metrics::Counter::kCheckpointLegacyMigrations);
-                runtime::metrics::add(runtime::metrics::Counter::kCheckpointDiskHits);
-                return state;
-            }
-        }
     } else {
         std::lock_guard<std::mutex> memo_lock(g_memo_mu);
         auto it = state_memo().find(path.string());
@@ -187,7 +135,14 @@ TensorMap cached_state(const std::string& cache_dir, const CacheKey& key,
             return it->second;
         }
     }
-    return produce_and_publish(path, produce, /*memoize=*/!read_cache);
+    runtime::metrics::add(runtime::metrics::Counter::kCheckpointMisses);
+    TensorMap state = produce();
+    save_state_atomic(path.string(), state);
+    if (!read_cache) {
+        std::lock_guard<std::mutex> memo_lock(g_memo_mu);
+        state_memo()[path.string()] = state;
+    }
+    return state;
 }
 
 }  // namespace ams::train

@@ -5,16 +5,10 @@
 // each is trained exactly once per workspace regardless of which bench
 // runs first.
 //
-// Two key schemes coexist:
-//  * content-addressed (preferred): a train::CacheKey hashing a canonical
-//    serialization of every input that affects the state — model config,
-//    quant bits, backend options, seeds, training schedule, and the
-//    parent phase's hash. Distinct configs can never alias one file.
-//  * legacy strings: the historical ad-hoc concatenation
-//    ("mini_c10_..._enob4.5_nm8"). Kept for tests and one-off callers;
-//    CacheKeys carry their legacy key so existing cache directories are
-//    migrated in place on first lookup (load old file, store under the
-//    content-hash name; the legacy file is left untouched).
+// Entries are content-addressed: a train::CacheKey hashes a canonical
+// serialization of every input that affects the state — model config,
+// quant bits, backend options, seeds, training schedule, and the parent
+// phase's hash — so distinct configs can never alias one file.
 //
 // Durability contract: every write goes to a per-process temporary file
 // in the cache directory and is published with an atomic rename, so
@@ -33,22 +27,15 @@
 
 namespace ams::train {
 
-/// Filesystem-safe encoding of a cache key.
+/// Filesystem-safe encoding of a cache-file label.
 [[nodiscard]] std::string sanitize_cache_key(const std::string& key);
 
 /// Returns the state for `key`, producing and persisting it with
 /// `produce` on a miss. `cache_dir` is created if absent. A corrupt cache
-/// file is regenerated rather than propagated. Set the environment
-/// variable AMSNET_NO_CACHE=1 to bypass reads (writes still happen).
-[[nodiscard]] TensorMap cached_state(const std::string& cache_dir, const std::string& key,
-                                     const std::function<TensorMap()>& produce);
-
-/// Content-addressed variant. Lookup order: the content-hash file; then
-/// (when `key.legacy_key()` is set) the legacy file, which on a hit is
-/// re-persisted under the content-hash name (migration shim); then
-/// `produce`. AMSNET_NO_CACHE=1 bypasses both disk reads but keeps the
-/// in-process memo, which is keyed by the content hash — so unlike the
-/// legacy scheme, a config change always re-produces.
+/// file is regenerated rather than propagated. AMSNET_NO_CACHE=1
+/// bypasses disk reads (writes still happen) but keeps an in-process
+/// memo keyed by the content hash, so a config change always
+/// re-produces.
 [[nodiscard]] TensorMap cached_state(const std::string& cache_dir, const CacheKey& key,
                                      const std::function<TensorMap()>& produce);
 

@@ -28,15 +28,33 @@ TensorMap make_state(float value) {
     return m;
 }
 
+CacheKey content_key(std::size_t retrain_epochs) {
+    CacheKey key;
+    key.label("ckpt_test");
+    key.add("schema", "ckpt-test-v1");
+    key.add("bits_w", std::uint64_t{8});
+    key.add("retrain.epochs", std::uint64_t{retrain_epochs});
+    key.add("lr", 0.004);
+    return key;
+}
+
+/// A minimal key for tests that only need distinct entries.
+CacheKey named_key(const std::string& name) {
+    CacheKey key;
+    key.label(name);
+    key.add("name", name);
+    return key;
+}
+
 TEST_F(CheckpointCacheTest, ProducesOnFirstCallOnly) {
     int calls = 0;
     auto produce = [&calls] {
         ++calls;
         return make_state(1.0f);
     };
-    const TensorMap a = cached_state(dir_, "key1", produce);
+    const TensorMap a = cached_state(dir_, named_key("key1"), produce);
     EXPECT_EQ(calls, 1);
-    const TensorMap b = cached_state(dir_, "key1", produce);
+    const TensorMap b = cached_state(dir_, named_key("key1"), produce);
     EXPECT_EQ(calls, 1);  // served from disk
     EXPECT_FLOAT_EQ(b.at("w")[0], 1.0f);
 }
@@ -51,20 +69,20 @@ TEST_F(CheckpointCacheTest, DistinctKeysAreIndependent) {
         ++calls;
         return make_state(2.0f);
     };
-    (void)cached_state(dir_, "a", produce1);
-    const TensorMap b = cached_state(dir_, "b", produce2);
+    (void)cached_state(dir_, named_key("a"), produce1);
+    const TensorMap b = cached_state(dir_, named_key("b"), produce2);
     EXPECT_EQ(calls, 2);
     EXPECT_FLOAT_EQ(b.at("w")[0], 2.0f);
 }
 
 TEST_F(CheckpointCacheTest, CorruptFileIsRegenerated) {
-    (void)cached_state(dir_, "key", [] { return make_state(3.0f); });
+    (void)cached_state(dir_, named_key("key"), [] { return make_state(3.0f); });
     // Corrupt the cache file.
-    const fs::path path = fs::path(dir_) / (sanitize_cache_key("key") + ".amsckpt");
+    const fs::path path = fs::path(dir_) / named_key("key").filename();
     ASSERT_TRUE(fs::exists(path));
     std::ofstream(path.string(), std::ios::trunc) << "garbage";
     int calls = 0;
-    const TensorMap m = cached_state(dir_, "key", [&calls] {
+    const TensorMap m = cached_state(dir_, named_key("key"), [&calls] {
         ++calls;
         return make_state(4.0f);
     });
@@ -92,24 +110,11 @@ TEST_F(CheckpointCacheTest, NoCacheFlagBypassesReads) {
         ++calls;
         return make_state(5.0f);
     };
-    (void)cached_state(dir_, "k", produce);
+    (void)cached_state(dir_, named_key("k"), produce);
     setenv("AMSNET_NO_CACHE", "1", 1);
-    (void)cached_state(dir_, "k", produce);
+    (void)cached_state(dir_, named_key("k"), produce);
     unsetenv("AMSNET_NO_CACHE");
     EXPECT_EQ(calls, 2);
-}
-
-// ----- content-addressed keys -----
-
-CacheKey content_key(std::size_t retrain_epochs, const std::string& legacy = "") {
-    CacheKey key;
-    key.label("ckpt_test");
-    if (!legacy.empty()) key.legacy(legacy);
-    key.add("schema", "ckpt-test-v1");
-    key.add("bits_w", std::uint64_t{8});
-    key.add("retrain.epochs", std::uint64_t{retrain_epochs});
-    key.add("lr", 0.004);
-    return key;
 }
 
 TEST_F(CheckpointCacheTest, ContentKeyHitsAndRegeneratesTruncatedEntry) {
@@ -162,8 +167,8 @@ TEST_F(CheckpointCacheTest, ConfigPerturbationProducesDistinctKey) {
 
 TEST_F(CheckpointCacheTest, ConfigPerturbationDefeatsNoCacheMemo) {
     // The in-process memo is keyed by the content path, so under
-    // AMSNET_NO_CACHE=1 a config change still re-produces (the legacy
-    // string scheme could silently serve the stale memo entry here).
+    // AMSNET_NO_CACHE=1 a config change still re-produces rather than
+    // serving the stale memo entry.
     setenv("AMSNET_NO_CACHE", "1", 1);
     int calls = 0;
     (void)cached_state(dir_, content_key(4), [&calls] {
@@ -182,26 +187,6 @@ TEST_F(CheckpointCacheTest, ConfigPerturbationDefeatsNoCacheMemo) {
     unsetenv("AMSNET_NO_CACHE");
     EXPECT_EQ(calls, 2);  // perturbed config misses the memo
     EXPECT_FLOAT_EQ(fresh.at("w")[0], 9.0f);
-}
-
-TEST_F(CheckpointCacheTest, LegacyEntryIsMigratedInPlace) {
-    // Seed the directory the pre-content-hash way, then look the state
-    // up by content key: it must be served from the legacy file and
-    // adopted under the content-hash name without calling produce.
-    const std::string legacy = "mini_c10_legacy_key";
-    (void)cached_state(dir_, legacy, [] { return make_state(7.0f); });
-
-    const CacheKey key = content_key(2, legacy);
-    int calls = 0;
-    const TensorMap migrated = cached_state(dir_, key, [&calls] {
-        ++calls;
-        return make_state(0.0f);
-    });
-    EXPECT_EQ(calls, 0);
-    EXPECT_FLOAT_EQ(migrated.at("w")[0], 7.0f);
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / key.filename()));
-    // The legacy file stays for older builds sharing the directory.
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / (sanitize_cache_key(legacy) + ".amsckpt")));
 }
 
 TEST_F(CheckpointCacheTest, AtomicPublishLeavesNoTempFiles) {

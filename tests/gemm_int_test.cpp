@@ -1,15 +1,16 @@
-// Packed integer GEMM property tests: every dispatch arm (scalar,
-// SSE4.1, AVX2) must produce the *same bits* as the naive integer
-// reference at any thread count — integer accumulation is exact and
-// associative, so unlike the fp32 kernels there is no toleranced arm.
-// Shapes sweep the microkernel remainder tails: partial 4-row A tiles,
-// masked B column groups, k not divisible by the 4-wide (int8) and
-// 2-wide (int16) k-blocks.
+// Packed integer GEMM property tests: both dispatch arms (scalar, AVX2)
+// must produce the *same bits* as the naive integer reference at any
+// thread count — integer accumulation is exact and associative, so
+// unlike the fp32 kernels there is no toleranced arm. Shapes sweep the
+// microkernel remainder tails: partial 4-row A tiles, masked B column
+// groups, k not divisible by the 4-wide k-blocks.
 #include "tensor/gemm_int.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "runtime/simd.hpp"
@@ -33,7 +34,7 @@ struct ShapeCase {
     std::size_t m, k, n;
 };
 
-// Remainder coverage: m % 4, n % 8, k % 4 (and % 2) all nonzero
+// Remainder coverage: m % 4, n % 8, k % 4 all nonzero
 // somewhere, plus degenerate single-row/column cases and one size large
 // enough to cross the parallel-dispatch threshold.
 constexpr ShapeCase kShapes[] = {
@@ -55,27 +56,8 @@ std::vector<std::int32_t> naive_s8u8(const std::vector<std::int8_t>& a,
     return c;
 }
 
-std::vector<std::int32_t> naive_s16(const std::vector<std::int16_t>& a,
-                                    const std::vector<std::int16_t>& b, std::size_t m,
-                                    std::size_t k, std::size_t n) {
-    std::vector<std::int32_t> c(m * n, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            for (std::size_t j = 0; j < n; ++j) {
-                c[i * n + j] += static_cast<std::int32_t>(a[i * k + kk]) * b[kk * n + j];
-            }
-        }
-    }
-    return c;
-}
-
 std::vector<simd::Level> testable_levels() {
     std::vector<simd::Level> levels{simd::Level::kScalar};
-#if defined(AMSNET_HAVE_SSE41)
-    if (simd::level_at_least(simd::detect_level(), simd::Level::kSse41)) {
-        levels.push_back(simd::Level::kSse41);
-    }
-#endif
 #if defined(AMSNET_HAVE_AVX2)
     if (simd::cpu_supports_avx2_fma()) levels.push_back(simd::Level::kAvx2);
 #endif
@@ -109,44 +91,14 @@ TEST(GemmIntTest, S8U8AllArmsBitEqualToNaiveAtOneAndFourThreads) {
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 }
 
-TEST(GemmIntTest, S16AllArmsBitEqualToNaiveAtOneAndFourThreads) {
-    LevelGuard guard;
-    Rng rng(6);
-    for (const ShapeCase s : kShapes) {
-        std::vector<std::int16_t> a(s.m * s.k);
-        for (auto& v : a) v = static_cast<std::int16_t>(rng.uniform(-1023.0, 1023.0));
-        std::vector<std::int16_t> b(s.k * s.n);
-        for (auto& v : b) v = static_cast<std::int16_t>(rng.uniform(-1023.0, 1023.0));
-        const std::vector<std::int32_t> expected = naive_s16(a, b, s.m, s.k, s.n);
-
-        for (const simd::Level level : testable_levels()) {
-            simd::set_level(level);
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                runtime::ThreadPool::set_global_threads(threads);
-                std::vector<std::int32_t> c(s.m * s.n, -1);
-                gemm_s16(a.data(), b.data(), c.data(), s.m, s.k, s.n);
-                EXPECT_EQ(std::memcmp(c.data(), expected.data(),
-                                      c.size() * sizeof(std::int32_t)),
-                          0)
-                    << "m=" << s.m << " k=" << s.k << " n=" << s.n << " level="
-                    << simd::level_name(level) << " threads=" << threads;
-            }
-        }
-    }
-    runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
-}
-
 TEST(GemmIntTest, ExtremeCodesCannotSaturateTheInnerProducts) {
-    // The documented operand contracts at their limits: pmaddubsw's i16
-    // intermediate holds 2 * 127 * 127, pmaddwd's i32 holds 2 * 32767^2.
+    // The documented operand contract at its limit: vpmaddubsw's i16
+    // intermediate holds 2 * 127 * 127.
     LevelGuard guard;
     const std::size_t m = 5, k = 9, n = 11;
     std::vector<std::int8_t> a8(m * k, -127);
     std::vector<std::uint8_t> b8(k * n, 127);
     const auto expected8 = naive_s8u8(a8, b8, m, k, n);
-    std::vector<std::int16_t> a16(m * k, -32767);
-    std::vector<std::int16_t> b16(k * n, 32767);
-    const auto expected16 = naive_s16(a16, b16, m, k, n);
 
     for (const simd::Level level : testable_levels()) {
         simd::set_level(level);
@@ -154,11 +106,6 @@ TEST(GemmIntTest, ExtremeCodesCannotSaturateTheInnerProducts) {
         gemm_s8u8(a8.data(), b8.data(), c8.data(), m, k, n);
         EXPECT_EQ(std::memcmp(c8.data(), expected8.data(), c8.size() * sizeof(std::int32_t)),
                   0)
-            << simd::level_name(level);
-        std::vector<std::int32_t> c16(m * n);
-        gemm_s16(a16.data(), b16.data(), c16.data(), m, k, n);
-        EXPECT_EQ(
-            std::memcmp(c16.data(), expected16.data(), c16.size() * sizeof(std::int32_t)), 0)
             << simd::level_name(level);
     }
 }
@@ -173,22 +120,46 @@ TEST(GemmIntTest, AccumulatorSafetyBound) {
 }
 
 TEST(GemmIntTest, ModeNamesParseAndRoundTrip) {
-    for (const GemmIntMode mode : {GemmIntMode::kOff, GemmIntMode::kInt8, GemmIntMode::kInt16,
-                                   GemmIntMode::kAuto}) {
+    for (const GemmIntMode mode : {GemmIntMode::kOff, GemmIntMode::kInt8}) {
         EXPECT_EQ(parse_gemm_int_mode(gemm_int_mode_name(mode)), mode);
     }
     EXPECT_EQ(parse_gemm_int_mode(nullptr), GemmIntMode::kOff);
     EXPECT_EQ(parse_gemm_int_mode(""), GemmIntMode::kOff);
     EXPECT_EQ(parse_gemm_int_mode("bogus"), GemmIntMode::kOff);
+    // The retired int16 lane's values parse like any unrecognized text.
+    EXPECT_EQ(parse_gemm_int_mode("int16"), GemmIntMode::kOff);
+    EXPECT_EQ(parse_gemm_int_mode("auto"), GemmIntMode::kOff);
 
-    ::setenv("AMSNET_GEMM_INT", "auto", 1);
-    EXPECT_EQ(env_gemm_int_mode(), GemmIntMode::kAuto);
+    ::setenv("AMSNET_GEMM_INT", "int8", 1);
+    EXPECT_EQ(env_gemm_int_mode(), GemmIntMode::kInt8);
     ::unsetenv("AMSNET_GEMM_INT");
     EXPECT_EQ(env_gemm_int_mode(), GemmIntMode::kOff);
 }
 
+TEST(GemmIntTest, SimdEnvRetiredSse41ValueAutoDetects) {
+    // AMSNET_SIMD has two arms: "off" forces scalar; "avx2", unset, and
+    // unrecognized text — including the value that once selected the
+    // deleted 128-bit arm — auto-detect.
+    const char* saved = std::getenv("AMSNET_SIMD");
+    const std::string saved_value = saved != nullptr ? saved : "";
+    ::unsetenv("AMSNET_SIMD");
+    const simd::Level unset = simd::detect_level();
+    const std::string retired = std::string("sse") + "41";
+    for (const char* value : {retired.c_str(), "avx2", "bogus"}) {
+        ::setenv("AMSNET_SIMD", value, 1);
+        EXPECT_EQ(simd::detect_level(), unset) << value;
+    }
+    ::setenv("AMSNET_SIMD", "off", 1);
+    EXPECT_EQ(simd::detect_level(), simd::Level::kScalar);
+    if (saved != nullptr) {
+        ::setenv("AMSNET_SIMD", saved_value.c_str(), 1);
+    } else {
+        ::unsetenv("AMSNET_SIMD");
+    }
+}
+
 TEST(GemmIntTest, CodeIm2colMatchesFloatIm2colAddressing) {
-    // im2col_u8 / im2col_i16 must place code[p] exactly where the float
+    // im2col_u8 must place code[p] exactly where the float
     // lowering places float(code[p]), with padding encoded as code 0.
     ConvGeometry g;
     g.in_channels = 3;
@@ -213,14 +184,9 @@ TEST(GemmIntTest, CodeIm2colMatchesFloatIm2colAddressing) {
     im2col(as_float.data(), g, float_cols.data());
     std::vector<std::uint8_t> u8_cols(cols, 255);
     im2col_u8(codes_u8.data(), g, u8_cols.data());
-    std::vector<std::int16_t> i16_codes(image);
-    for (std::size_t i = 0; i < image; ++i) i16_codes[i] = codes_u8[i];
-    std::vector<std::int16_t> i16_cols(cols, -1);
-    im2col_i16(i16_codes.data(), g, i16_cols.data());
 
     for (std::size_t i = 0; i < cols; ++i) {
         EXPECT_EQ(static_cast<float>(u8_cols[i]), float_cols[i]) << "col " << i;
-        EXPECT_EQ(static_cast<float>(i16_cols[i]), float_cols[i]) << "col " << i;
     }
 }
 

@@ -1,6 +1,6 @@
 // The integer carrier for the DoReFa grids: bit-exact code round-trips,
-// narrow/wide storage selection (and force_wide for the int16 GEMM
-// path), the encode helpers the compiler and executor share, and the
+// 8-bit storage selection (and the named rejection of wider grids), the
+// encode helper the compiler and executor share, and the
 // straight-to-codes weight transform against the float DoReFa path.
 #include "quant/quantized_view.hpp"
 
@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "quant/dorefa.hpp"
@@ -38,7 +39,7 @@ TEST(QuantizedViewTest, GridScaleAndStorageSelection) {
 
 TEST(QuantizedViewTest, OnGridRoundTripIsBitExact) {
     for (const QuantGrid grid : {QuantGrid{127, true}, QuantGrid{255, false},
-                                 QuantGrid{1023, true}, QuantGrid{32767, false}}) {
+                                 QuantGrid{31, true}, QuantGrid{63, false}}) {
         const std::vector<float> values = grid_values(grid);
         QuantizedTensor q(values.data(), values.size(), grid);
         ASSERT_EQ(q.size(), values.size());
@@ -59,8 +60,6 @@ TEST(QuantizedViewTest, ViewExposesExactlyOneCodePointer) {
         const QuantizedView v = q.view();
         ASSERT_NE(v.u8, nullptr);
         EXPECT_EQ(v.i8, nullptr);
-        EXPECT_EQ(v.i16, nullptr);
-        EXPECT_FALSE(v.wide());
         EXPECT_EQ(v.u8[0], 0);
         EXPECT_EQ(v.u8[1], 1);
         EXPECT_EQ(v.u8[2], 127);
@@ -74,27 +73,21 @@ TEST(QuantizedViewTest, ViewExposesExactlyOneCodePointer) {
         EXPECT_EQ(v.i8[0], -127);
         EXPECT_EQ(v.i8[2], 127);
     }
-    {
-        QuantizedTensor q(unit.data(), unit.size(), QuantGrid{1023, false});
-        EXPECT_TRUE(q.view().wide());
-    }
 }
 
-TEST(QuantizedViewTest, ForceWideKeepsI16ForNarrowGrids) {
-    const std::vector<float> values{-1.0f, -64.0f / 127.0f, 0.0f, 1.0f};
-    const QuantGrid grid{127, true};
-    QuantizedTensor q(values.data(), values.size(), grid, /*force_wide=*/true);
-    const QuantizedView v = q.view();
-    ASSERT_TRUE(v.wide());
-    EXPECT_EQ(v.i8, nullptr);
-    EXPECT_EQ(v.i16[0], -127);
-    EXPECT_EQ(v.i16[1], -64);
-    EXPECT_EQ(v.i16[3], 127);
-
-    // Same decode either way.
-    std::vector<float> back(values.size());
-    q.dequantize_into(back.data());
-    EXPECT_EQ(std::memcmp(back.data(), values.data(), values.size() * sizeof(float)), 0);
+TEST(QuantizedViewTest, GridsWiderThan8BitCodesAreRejected) {
+    // 255 signed levels need 9-bit codes (the 9-bit Fig. 8 configs):
+    // the compiler keeps such convs fp32, and the carrier refuses them
+    // by name rather than truncating.
+    const std::vector<float> values{-1.0f, 0.0f, 1.0f};
+    EXPECT_THROW(QuantizedTensor(values.data(), values.size(), QuantGrid{255, true}),
+                 std::invalid_argument);
+    EXPECT_THROW(QuantizedTensor(values.data() + 1, 2, QuantGrid{256, false}),
+                 std::invalid_argument);
+    Rng rng(3);
+    Tensor w(Shape{2, 1, 3, 3});
+    w.fill_uniform(rng, -1.0f, 1.0f);
+    EXPECT_THROW((void)dorefa_quantize_weights_q(w, 9), std::invalid_argument);
 }
 
 TEST(QuantizedViewTest, OffGridInputsClampAndRoundToNearestCode) {
@@ -115,15 +108,15 @@ TEST(QuantizedViewTest, EncodeHelpersMatchLround) {
 
     std::vector<std::uint8_t> u8(unit.size());
     encode_unit_u8(unit.data(), unit.size(), 127, u8.data());
-    std::vector<std::int16_t> u16(unit.size());
-    encode_unit_u16(unit.data(), unit.size(), 1023, u16.data());
-    std::vector<std::int16_t> i16(signed_vals.size());
-    encode_signed_i16(signed_vals.data(), signed_vals.size(), 32767, i16.data());
+    std::vector<std::uint8_t> u8_full(unit.size());
+    encode_unit_u8(unit.data(), unit.size(), 255, u8_full.data());
+
+    const QuantizedTensor i8(signed_vals.data(), signed_vals.size(), QuantGrid{127, true});
 
     for (std::size_t i = 0; i < unit.size(); ++i) {
         EXPECT_EQ(u8[i], std::lround(unit[i] * 127.0f));
-        EXPECT_EQ(u16[i], std::lround(unit[i] * 1023.0f));
-        EXPECT_EQ(i16[i], std::lround(signed_vals[i] * 32767.0f));
+        EXPECT_EQ(u8_full[i], std::lround(unit[i] * 255.0f));
+        EXPECT_EQ(i8.view().i8[i], std::lround(signed_vals[i] * 127.0f));
     }
 }
 

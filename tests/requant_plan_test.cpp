@@ -1,11 +1,12 @@
-// The integer numeric domain end to end: compiled plans running int8 /
-// int16 convolutions must reproduce, bit for bit, a hand-built
+// The integer numeric domain end to end: compiled plans running int8
+// convolutions must reproduce, bit for bit, a hand-built
 // reference that encodes the same codes, runs the same integer GEMM,
 // and requantizes as a separate whole-tensor pass — i.e. the *fused*
 // requant epilogue is semantically invisible. Checked across remainder-
 // tail conv geometries, both SIMD arms, and 1/4 threads (the integer
 // kernels are exact, so this is an equality contract, not a tolerance).
-// Also pins numeric-mode resolution in the dump IR, the toleranced
+// Also pins numeric-mode resolution in the dump IR (including the signed
+// QuantInput grid that must stay fp32), the toleranced
 // int-vs-fp32 distance, the gemm_int_calls / requant_ops counters, and
 // the AMSNET_GEMM_INT env plumbing through the evaluate path.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "compile/plan.hpp"
@@ -21,7 +23,6 @@
 #include "models/resnet.hpp"
 #include "nn/activations.hpp"
 #include "nn/sequential.hpp"
-#include "quant/dorefa.hpp"
 #include "quant/quant_modules.hpp"
 #include "quant/quantized_view.hpp"
 #include "runtime/eval_context.hpp"
@@ -184,22 +185,15 @@ TEST(RequantPlanTest, FusedInt8EpilogueBitEqualsUnfusedReference) {
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 }
 
-TEST(RequantPlanTest, Int16PlanBitEqualsUnfusedReference) {
-    // Signed QuantInput grid forces the int16 lane (int8 requires
-    // unsigned activation codes).
-    LevelGuard guard;
+TEST(RequantPlanTest, SignedInputGridStaysFp32UnderInt8) {
+    // A QuantInput stem emits signed codes, which vpmaddubsw cannot take
+    // as its unsigned operand: under kInt8 the conv must resolve to fp32
+    // and the whole plan must equal the kOff plan bit for bit.
     const ConvCase c{{3, 5, 3, 1, 1, false}, 7, 7};
     const std::size_t batch = 3;
     Rng rng(43);
-    const ConvGeometry g = geometry_of(c);
-    const std::size_t image = g.in_channels * g.in_h * g.in_w;
-
     Tensor x(Shape{batch, c.opts.in_channels, c.in_h, c.in_w});
-    std::vector<std::int16_t> codes(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        codes[i] = static_cast<std::int16_t>(rng.uniform(-127.0, 127.0));
-        x[i] = static_cast<float>(codes[i]) / static_cast<float>(kLevels);
-    }
+    x.fill_uniform(rng, -1.0f, 1.0f);
 
     auto make_signed_model = [&] {
         Rng wrng(31);
@@ -210,40 +204,19 @@ TEST(RequantPlanTest, Int16PlanBitEqualsUnfusedReference) {
         return seq;
     };
 
-    // Reference with force-wide weight codes (the int16 GEMM consumes
-    // i16 operands even though the 8-bit grid fits i8).
     auto model = make_signed_model();
-    const auto& qc = dynamic_cast<const quant::QuantConv2d&>(model->child(1));
-    std::vector<float> wq_floats(qc.conv().weight().value.size());
-    quant::dorefa_quantize_weights_into(qc.conv().weight().value, kBits, wq_floats.data());
-    const quant::QuantizedTensor wq(wq_floats.data(), wq_floats.size(),
-                                    quant::QuantGrid{kLevels, /*is_signed=*/true},
-                                    /*force_wide=*/true);
-    const std::int16_t* wi16 = wq.view().i16;
+    compile::CompileOptions copts;
+    copts.gemm_int = GemmIntMode::kInt8;
+    const std::string dump = compile::compile(*model, x.shape(), copts).dump_string();
+    EXPECT_NE(dump.find(" numeric=fp32"), std::string::npos) << dump;
+    EXPECT_EQ(dump.find("numeric=int8"), std::string::npos) << dump;
 
-    const std::size_t out_spatial = g.out_h() * g.out_w();
-    const std::size_t out_image = c.opts.out_channels * out_spatial;
-    const float dequant =
-        1.0f / (static_cast<float>(kLevels) * static_cast<float>(kLevels));
-    std::vector<float> expected(batch * out_image);
-    std::vector<std::int16_t> cols(g.patch_size() * out_spatial);
-    std::vector<std::int32_t> acc(out_image);
-    for (std::size_t b = 0; b < batch; ++b) {
-        im2col_i16(codes.data() + b * image, g, cols.data());
-        gemm_s16(wi16, cols.data(), acc.data(), c.opts.out_channels, g.patch_size(),
-                 out_spatial);
-        for (std::size_t i = 0; i < out_image; ++i) {
-            expected[b * out_image + i] = static_cast<float>(acc[i]) * dequant;
-        }
-    }
-
-    for (const GemmIntMode mode : {GemmIntMode::kInt16, GemmIntMode::kAuto}) {
-        auto fresh = make_signed_model();
-        const std::vector<float> got = run_plan(*fresh, x, mode);
-        ASSERT_EQ(got.size(), expected.size());
-        EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size() * sizeof(float)), 0)
-            << "mode=" << gemm_int_mode_name(mode);
-    }
+    auto off_model = make_signed_model();
+    const std::vector<float> expected = run_plan(*off_model, x, GemmIntMode::kOff);
+    auto int8_model = make_signed_model();
+    const std::vector<float> got = run_plan(*int8_model, x, GemmIntMode::kInt8);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size() * sizeof(float)), 0);
 }
 
 TEST(RequantPlanTest, Int8WithinToleranceOfFp32Plan) {

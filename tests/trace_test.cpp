@@ -173,7 +173,6 @@ TEST(MetricsTest, MetricsJsonGolden) {
         "  \"checkpoint_memo_hits\": 0,\n"
         "  \"checkpoint_misses\": 0,\n"
         "  \"checkpoint_corrupt_recovered\": 0,\n"
-        "  \"checkpoint_legacy_migrations\": 0,\n"
         "  \"eval_passes\": 0,\n"
         "  \"eval_batches\": 0,\n"
         "  \"serve_requests\": 0,\n"
