@@ -14,6 +14,7 @@
 // the same experiment at this substrate's operating point.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <span>
@@ -24,6 +25,24 @@
 #include "tensor/rng.hpp"
 
 namespace ams::bench {
+
+/// True when AMSNET_BENCH_QUICK is set to anything but "" or "0": CI
+/// smoke runs shrink repetition counts and campaign sizes.
+inline bool quick() {
+    const char* env = std::getenv("AMSNET_BENCH_QUICK");
+    return env != nullptr && *env != '\0' && *env != '0';
+}
+
+/// Mean wall seconds of one `fn()` over `reps` timed calls, after one
+/// untimed warm-up call (pages in buffers, grows pack and arena scratch).
+template <typename Fn>
+double seconds_of(Fn&& fn, int reps) {
+    fn();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps; ++r) fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count() / reps;
+}
 
 /// ENOB sweep for the Fig. 4 / Fig. 5 analogues (Nmult = 8 throughout,
 /// matching the paper).

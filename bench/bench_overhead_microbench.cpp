@@ -2,14 +2,20 @@
 // together incur a roughly 50% overhead in forward pass computation time
 // compared to the out-of-the-box FP32 network."
 //
-// Google-benchmark of the MiniResNet forward pass in the three variants.
-#include <benchmark/benchmark.h>
+// Times the MiniResNet forward pass (batch 8) in the three variants, plus
+// a full training step (forward + backward) for FP32 and quantized + AMS,
+// with std::chrono::steady_clock. AMSNET_BENCH_QUICK=1 shrinks the
+// repetition counts.
+#include <iostream>
+#include <string>
 
+#include "bench_common.hpp"
+#include "core/report.hpp"
 #include "models/resnet.hpp"
 
-namespace {
-
 using namespace ams;
+
+namespace {
 
 models::LayerCommon variant(std::size_t bits, bool ams) {
     models::LayerCommon c;
@@ -28,62 +34,63 @@ Tensor make_input() {
     return x;
 }
 
-void BM_ForwardFp32(benchmark::State& state) {
-    models::ResNet model(models::mini_resnet_config(variant(quant::kFloatBits, false)));
+/// The FP32 variant keeps the default input range; the quantized ones
+/// cover the [-2, 2] inputs of make_input.
+models::ResNetConfig config(std::size_t bits, bool ams) {
+    return bits == quant::kFloatBits ? models::mini_resnet_config(variant(bits, ams))
+                                     : models::mini_resnet_config(variant(bits, ams), 10, 2.5f);
+}
+
+/// Mean ms per eval-mode forward pass.
+double forward_ms(std::size_t bits, bool ams, int reps) {
+    models::ResNet model(config(bits, ams));
     model.set_training(false);
     const Tensor x = make_input();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.forward(x));
-    }
+    return 1e3 * bench::seconds_of([&] { (void)model.forward(x); }, reps);
 }
-BENCHMARK(BM_ForwardFp32)->Unit(benchmark::kMillisecond);
 
-void BM_ForwardQuantized8b(benchmark::State& state) {
-    models::ResNet model(models::mini_resnet_config(variant(8, false), 10, 2.5f));
-    model.set_training(false);
-    const Tensor x = make_input();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.forward(x));
-    }
-}
-BENCHMARK(BM_ForwardQuantized8b)->Unit(benchmark::kMillisecond);
-
-void BM_ForwardQuantizedAms(benchmark::State& state) {
-    models::ResNet model(models::mini_resnet_config(variant(8, true), 10, 2.5f));
-    model.set_training(false);
-    const Tensor x = make_input();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.forward(x));
-    }
-}
-BENCHMARK(BM_ForwardQuantizedAms)->Unit(benchmark::kMillisecond);
-
-// Training step (forward + backward + update) comparison, since the
-// paper's 50% figure is about the retraining loop.
-void BM_TrainStepFp32(benchmark::State& state) {
-    models::ResNet model(models::mini_resnet_config(variant(quant::kFloatBits, false)));
+/// Mean ms per training step: forward then backward of a fixed gradient.
+/// The paper's 50% figure is about the retraining loop.
+double train_step_ms(std::size_t bits, bool ams, int reps) {
+    models::ResNet model(config(bits, ams));
     model.set_training(true);
     const Tensor x = make_input();
-    Tensor g(Shape{8, 10}, 0.01f);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.forward(x));
-        benchmark::DoNotOptimize(model.backward(g));
-    }
+    const Tensor g(Shape{8, 10}, 0.01f);
+    return 1e3 * bench::seconds_of(
+                     [&] {
+                         (void)model.forward(x);
+                         (void)model.backward(g);
+                     },
+                     reps);
 }
-BENCHMARK(BM_TrainStepFp32)->Unit(benchmark::kMillisecond);
-
-void BM_TrainStepQuantizedAms(benchmark::State& state) {
-    models::ResNet model(models::mini_resnet_config(variant(8, true), 10, 2.5f));
-    model.set_training(true);
-    const Tensor x = make_input();
-    Tensor g(Shape{8, 10}, 0.01f);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.forward(x));
-        benchmark::DoNotOptimize(model.backward(g));
-    }
-}
-BENCHMARK(BM_TrainStepQuantizedAms)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+    core::print_banner(std::cout, "Forward / training-step overhead of quantization + AMS",
+                       "Sec. 2: ~50% forward-pass overhead vs FP32");
+
+    const bool quick = bench::quick();
+    const int fwd_reps = quick ? 5 : 100;
+    const int step_reps = quick ? 3 : 40;
+
+    const double fwd_fp32 = forward_ms(quant::kFloatBits, false, fwd_reps);
+    const double fwd_q8 = forward_ms(8, false, fwd_reps);
+    const double fwd_ams = forward_ms(8, true, fwd_reps);
+    const double step_fp32 = train_step_ms(quant::kFloatBits, false, step_reps);
+    const double step_ams = train_step_ms(8, true, step_reps);
+
+    core::Table table({"row", "ms/iter", "vs FP32"});
+    const auto add = [&](const std::string& name, double ms, double fp32_ms) {
+        table.add_row({name, core::fmt_fixed(ms, 2), core::fmt_pct(ms / fp32_ms - 1.0, 0)});
+    };
+    add("BM_ForwardFp32", fwd_fp32, fwd_fp32);
+    add("BM_ForwardQuantized8b", fwd_q8, fwd_fp32);
+    add("BM_ForwardQuantizedAms", fwd_ams, fwd_fp32);
+    add("BM_TrainStepFp32", step_fp32, step_fp32);
+    add("BM_TrainStepQuantizedAms", step_ams, step_fp32);
+    table.print(std::cout);
+    std::cout << "(mean of " << fwd_reps << " forward / " << step_reps
+              << " training-step iterations after one warm-up; paper: ~+50% forward)\n";
+    return 0;
+}

@@ -22,7 +22,6 @@
 // produce byte-identical merged reports. AMSNET_BENCH_QUICK=1 shrinks
 // the grid for CI smoke runs. Artifact: BENCH_sweep.json.
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -31,6 +30,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "bench_common.hpp"
 #include "core/bench_json.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -92,10 +92,7 @@ int main(int argc, char** argv) {
         runtime::metrics::set_level(runtime::metrics::Level::kCounters);
     }
 
-    const bool quick = [] {
-        const char* env = std::getenv("AMSNET_BENCH_QUICK");
-        return env != nullptr && *env != '\0' && *env != '0';
-    }();
+    const bool quick = bench::quick();
     const std::string scratch =
         (fs::temp_directory_path() / ("amsnet-bench-sweep-" + std::to_string(getpid())))
             .string();

@@ -24,7 +24,6 @@
 // plot. AMSNET_BENCH_QUICK=1 shrinks the chip count for CI smoke runs.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -34,6 +33,7 @@
 #include <vector>
 #include <unistd.h>
 
+#include "bench_common.hpp"
 #include "core/bench_json.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -122,10 +122,7 @@ int main(int argc, char** argv) {
         runtime::metrics::set_level(runtime::metrics::Level::kCounters);
     }
 
-    const bool quick = [] {
-        const char* env = std::getenv("AMSNET_BENCH_QUICK");
-        return env != nullptr && *env != '\0' && *env != '0';
-    }();
+    const bool quick = bench::quick();
     const std::string scratch =
         (fs::temp_directory_path() / ("amsnet-bench-variation-" + std::to_string(getpid())))
             .string();

@@ -63,6 +63,5 @@
 #include "train/evaluate.hpp"
 #include "train/trainer.hpp"
 
-// Serving (dynamic batching inference server + load generator)
-#include "serve/load_gen.hpp"
+// Serving (dynamic batching inference server)
 #include "serve/server.hpp"

@@ -12,8 +12,8 @@ TEST(DorefaTest, MagnitudeLevelsMatchSignMagnitude) {
     EXPECT_EQ(magnitude_levels(2), 1u);
     EXPECT_EQ(magnitude_levels(4), 7u);
     EXPECT_EQ(magnitude_levels(8), 127u);
-    EXPECT_THROW(magnitude_levels(1), std::invalid_argument);
-    EXPECT_THROW(magnitude_levels(32), std::invalid_argument);
+    EXPECT_THROW((void)magnitude_levels(1), std::invalid_argument);
+    EXPECT_THROW((void)magnitude_levels(32), std::invalid_argument);
 }
 
 TEST(QuantizeUnitTest, ClampsAndRounds) {
@@ -22,7 +22,7 @@ TEST(QuantizeUnitTest, ClampsAndRounds) {
     EXPECT_FLOAT_EQ(quantize_unit(0.5f, 2), 0.5f);
     EXPECT_FLOAT_EQ(quantize_unit(0.24f, 2), 0.0f);
     EXPECT_FLOAT_EQ(quantize_unit(0.26f, 2), 0.5f);
-    EXPECT_THROW(quantize_unit(0.5f, 0), std::invalid_argument);
+    EXPECT_THROW((void)quantize_unit(0.5f, 0), std::invalid_argument);
 }
 
 class QuantizeUnitProperty : public ::testing::TestWithParam<std::size_t> {};

@@ -60,7 +60,9 @@ TEST(EnergyAccuracyMapTest, CheapestForLossFindsMinimalEnergy) {
     EXPECT_LT(best->accuracy_loss, 0.02);
     // Every other qualifying grid point costs at least as much.
     for (const DesignPoint& p : map.grid()) {
-        if (p.accuracy_loss < 0.02) EXPECT_GE(p.emac_fj, best->emac_fj - 1e-12);
+        if (p.accuracy_loss < 0.02) {
+            EXPECT_GE(p.emac_fj, best->emac_fj - 1e-12);
+        }
     }
 }
 

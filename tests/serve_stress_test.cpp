@@ -9,6 +9,7 @@
 #include <atomic>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,8 @@ models::LayerCommon quant_common() {
     return c;
 }
 
+// One instance serializes every batch; two and four split the queue
+// across replicas. Each pool size must account for every request.
 TEST(ServeStressTest, ConcurrentClientsLoseNoRequest) {
     data::SyntheticImageNet ds(tiny_data());
     models::ResNet primary(models::tiny_resnet_config(quant_common()));
@@ -43,36 +46,39 @@ TEST(ServeStressTest, ConcurrentClientsLoseNoRequest) {
     const std::size_t n_images = images.dim(0);
     const std::size_t image_floats = chw.numel();
 
-    ServerOptions options;
-    options.instances = 3;
-    options.max_batch = 4;
-    options.max_delay_us = 200;
-    InferenceServer server(primary, chw, options);
+    for (const std::size_t instances : {1u, 2u, 4u}) {
+        SCOPED_TRACE("instances=" + std::to_string(instances));
+        ServerOptions options;
+        options.instances = instances;
+        options.max_batch = 4;
+        options.max_delay_us = 200;
+        InferenceServer server(primary, chw, options);
 
-    constexpr std::size_t kClients = 8;
-    constexpr std::size_t kPerClient = 24;
-    std::atomic<std::size_t> ok{0};
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (std::size_t c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-            for (std::size_t i = 0; i < kPerClient; ++i) {
-                const float* image = images.data() + ((c + i) % n_images) * image_floats;
-                const InferenceResult result = server.submit(image).get();
-                if (result.logits.size() == 4 && result.predicted < 4) {
-                    ok.fetch_add(1, std::memory_order_relaxed);
+        constexpr std::size_t kClients = 8;
+        constexpr std::size_t kPerClient = 24;
+        std::atomic<std::size_t> ok{0};
+        std::vector<std::thread> clients;
+        clients.reserve(kClients);
+        for (std::size_t c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                for (std::size_t i = 0; i < kPerClient; ++i) {
+                    const float* image = images.data() + ((c + i) % n_images) * image_floats;
+                    const InferenceResult result = server.submit(image).get();
+                    if (result.logits.size() == 4 && result.predicted < 4) {
+                        ok.fetch_add(1, std::memory_order_relaxed);
+                    }
                 }
-            }
-        });
-    }
-    for (std::thread& t : clients) t.join();
-    server.shutdown();
+            });
+        }
+        for (std::thread& t : clients) t.join();
+        server.shutdown();
 
-    EXPECT_EQ(ok.load(), kClients * kPerClient);
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.submitted, kClients * kPerClient);
-    EXPECT_EQ(stats.completed, kClients * kPerClient);
-    EXPECT_EQ(server.queue_depth(), 0u);
+        EXPECT_EQ(ok.load(), kClients * kPerClient);
+        const ServerStats stats = server.stats();
+        EXPECT_EQ(stats.submitted, kClients * kPerClient);
+        EXPECT_EQ(stats.completed, kClients * kPerClient);
+        EXPECT_EQ(server.queue_depth(), 0u);
+    }
 }
 
 TEST(ServeStressTest, ShutdownRacingSubmissionsLosesNothing) {

@@ -39,14 +39,14 @@ TEST(ShapeTest, OffsetMatchesStrides) {
 
 TEST(ShapeTest, OffsetRejectsRankMismatch) {
     const Shape s{2, 3};
-    EXPECT_THROW(s.offset({1}), std::invalid_argument);
-    EXPECT_THROW(s.offset({1, 1, 1}), std::invalid_argument);
+    EXPECT_THROW((void)s.offset({1}), std::invalid_argument);
+    EXPECT_THROW((void)s.offset({1, 1, 1}), std::invalid_argument);
 }
 
 TEST(ShapeTest, OffsetRejectsOutOfRange) {
     const Shape s{2, 3};
-    EXPECT_THROW(s.offset({2, 0}), std::invalid_argument);
-    EXPECT_THROW(s.offset({0, 3}), std::invalid_argument);
+    EXPECT_THROW((void)s.offset({2, 0}), std::invalid_argument);
+    EXPECT_THROW((void)s.offset({0, 3}), std::invalid_argument);
 }
 
 TEST(ShapeTest, EqualityComparesDims) {
@@ -63,7 +63,7 @@ TEST(ShapeTest, StrFormatsDims) {
 TEST(ShapeTest, DimBoundsChecked) {
     const Shape s{2, 3};
     EXPECT_EQ(s.dim(1), 3u);
-    EXPECT_THROW(s.dim(2), std::out_of_range);
+    EXPECT_THROW((void)s.dim(2), std::out_of_range);
 }
 
 class ShapeOffsetRoundTrip : public ::testing::TestWithParam<std::vector<std::size_t>> {};
